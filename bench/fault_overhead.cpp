@@ -6,7 +6,7 @@
 //      the run takes the exact unfaulted code path)
 //   2. What does *fault-ready* mode cost when no fault fires? An
 //      active plan reroutes every transfer through framed
-//      send_reliable (16-byte header + FNV-1a checksum both ends),
+//      send_reliable (16-byte header + XXH64 checksum both ends),
 //      so this isolates the price of being recoverable.
 //   3. What does recovery cost? Session::recover() host time for a
 //      dead-node remap, and the virtual-time latency of the degraded

@@ -6,7 +6,8 @@
 #
 #   asan  -- AddressSanitizer + LeakSanitizer: the memory-heavy suites
 #            (buffer-pool reuse across warm runs, striping copies, the
-#            fault-injection frame path, program blob round-trips). The
+#            fault-injection frame path and the frame checksum's
+#            unaligned word loads, program blob round-trips). The
 #            LSan suppressions cover a pre-existing bounded leak: the
 #            Alter interpreter's environment<->closure shared_ptr cycle.
 #            All three flavors also run the Alter bytecode pipeline
@@ -30,7 +31,8 @@
 #   ubsan -- UndefinedBehaviorSanitizer: the arithmetic-heavy paths
 #            (compiled transfer programs and their serialized form,
 #            striping/run-intersection math, FFT permutation and twiddle
-#            indexing, fault frame packing). UBSan composes with ASan;
+#            indexing, fault frame packing, the frame checksum's
+#            unaligned word loads). UBSan composes with ASan;
 #            set SAGE_EXTRA_CMAKE_FLAGS=-DSAGE_ASAN=ON for the combined
 #            build.
 #
@@ -47,7 +49,7 @@ case "$flavor" in
       integration_pipeline_test viz_test metrics_test program_test \
       random_graph_test serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Checksum|Frame|Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   tsan)
     cmake_flag=-DSAGE_TSAN=ON
@@ -63,7 +65,7 @@ case "$flavor" in
       integration_pipeline_test isspl_test registry_test metrics_test \
       program_test random_graph_test serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Kernel|Plan|Metrics|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Checksum|Frame|Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Kernel|Plan|Metrics|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   *)
     echo "usage: $0 <asan|tsan|ubsan> [build-dir]" >&2

@@ -1,7 +1,7 @@
 // openSAGE -- the shared wire framing: a 16-byte header carrying a
-// magic word, the body length, and an FNV-1a checksum of the body.
+// magic word, the body length, and a 64-bit checksum of the body.
 //
-//   magic u32 ("SGEF") | body length u32 | FNV-1a(body) u64
+//   magic u32 ("SGEF") | body length u32 | checksum64(body) u64
 //
 // Two layers ride this format:
 //   - the fault-mode transfer frames the runtime::Session wraps around
@@ -13,8 +13,16 @@
 //     (length-prefixed so a byte-stream receiver can delimit messages,
 //     checksummed so wire corruption surfaces as a transport bug
 //     instead of silent data damage).
+//
+// The checksum is XXH64: four independent 64-bit lanes over 32-byte
+// stripes, so it runs near memory speed where a byte-serial hash
+// (one dependent multiply per byte) would cost more than the copy it
+// guards. Words are loaded with std::memcpy (any alignment, no UB) in
+// host byte order; the published XXH64 values hold on little-endian
+// hosts, and both ends of a frame always run on the same host.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -24,17 +32,73 @@ namespace sage::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x46454753u;  // "SGEF"
 inline constexpr std::size_t kFrameHeaderBytes = 16;
-inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
-/// Folds `len` bytes into a running FNV-1a hash.
-inline std::uint64_t fnv1a_accum(std::uint64_t h, const std::byte* data,
-                                 std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= std::to_integer<std::uint64_t>(data[i]);
-    h *= kFnvPrime;
+namespace detail {
+
+inline constexpr std::uint64_t kXxPrime1 = 0x9E3779B185EBCA87ull;
+inline constexpr std::uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4Full;
+inline constexpr std::uint64_t kXxPrime3 = 0x165667B19E3779F9ull;
+inline constexpr std::uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ull;
+inline constexpr std::uint64_t kXxPrime5 = 0x27D4EB2F165667C5ull;
+
+inline std::uint64_t xx_load64(const std::byte* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline std::uint64_t xx_round(std::uint64_t acc, std::uint64_t lane) {
+  return std::rotl(acc + lane * kXxPrime2, 31) * kXxPrime1;
+}
+
+inline std::uint64_t xx_merge(std::uint64_t h, std::uint64_t acc) {
+  return (h ^ xx_round(0, acc)) * kXxPrime1 + kXxPrime4;
+}
+
+}  // namespace detail
+
+/// XXH64 of `len` bytes at `data`. Chaining a second call through the
+/// seed -- checksum64(b, nb, checksum64(a, na)) -- is how a frame body
+/// made of two separately held parts is checksummed.
+inline std::uint64_t checksum64(const std::byte* data, std::size_t len,
+                                std::uint64_t seed = 0) {
+  using namespace detail;
+  const std::byte* p = data;
+  const std::byte* const end = data + len;
+  std::uint64_t h = seed + kXxPrime5;
+  if (len >= 32) {
+    std::uint64_t v1 = seed + kXxPrime1 + kXxPrime2;
+    std::uint64_t v2 = seed + kXxPrime2;
+    std::uint64_t v3 = seed;
+    std::uint64_t v4 = seed - kXxPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = xx_round(v1, xx_load64(p));
+      v2 = xx_round(v2, xx_load64(p + 8));
+      v3 = xx_round(v3, xx_load64(p + 16));
+      v4 = xx_round(v4, xx_load64(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = xx_merge(xx_merge(xx_merge(xx_merge(h, v1), v2), v3), v4);
   }
-  return h;
+  h += len;
+  for (; end - p >= 8; p += 8) {
+    h = std::rotl(h ^ xx_round(0, xx_load64(p)), 27) * kXxPrime1 + kXxPrime4;
+  }
+  if (end - p >= 4) {
+    std::uint32_t w = 0;
+    std::memcpy(&w, p, sizeof w);
+    h = std::rotl(h ^ std::uint64_t{w} * kXxPrime1, 23) * kXxPrime2 +
+        kXxPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h = std::rotl(h ^ std::to_integer<std::uint64_t>(*p) * kXxPrime5, 11) *
+        kXxPrime1;
+  }
+  h = (h ^ (h >> 33)) * kXxPrime2;
+  h = (h ^ (h >> 29)) * kXxPrime3;
+  return h ^ (h >> 32);
 }
 
 /// Writes the 16-byte header into frame[0..16). `frame` must hold at
@@ -73,8 +137,8 @@ inline bool frame_valid(std::span<const std::byte> frame) {
   const FrameHeader h = read_frame_header(frame);
   if (h.magic != kFrameMagic) return false;
   if (h.length != frame.size() - kFrameHeaderBytes) return false;
-  return fnv1a_accum(kFnvOffsetBasis, frame.data() + kFrameHeaderBytes,
-                     frame.size() - kFrameHeaderBytes) == h.checksum;
+  return checksum64(frame.data() + kFrameHeaderBytes,
+                    frame.size() - kFrameHeaderBytes) == h.checksum;
 }
 
 }  // namespace sage::net

@@ -186,14 +186,15 @@ class ShmemTransport final : public Transport {
     const std::size_t body = kParcelMetaBytes + payload_len;
     scratch.resize(kFrameHeaderBytes + body);
     std::span<std::byte> frame(scratch);
-    std::uint64_t hash = encode_parcel_meta(
+    const std::uint64_t meta_hash = encode_parcel_meta(
         parcel, frame.subspan(kFrameHeaderBytes, kParcelMetaBytes));
+    std::byte* payload_at =
+        frame.data() + kFrameHeaderBytes + kParcelMetaBytes;
     if (payload_len != 0) {
-      std::byte* at = frame.data() + kFrameHeaderBytes + kParcelMetaBytes;
-      std::memcpy(at, parcel.payload.data(), payload_len);
-      hash = fnv1a_accum(hash, at, payload_len);
+      std::memcpy(payload_at, parcel.payload.data(), payload_len);
     }
-    write_frame_header(frame, body, hash);
+    write_frame_header(frame, body,
+                       checksum64(payload_at, payload_len, meta_hash));
 
     const int src = parcel.src;
     const RingView ring = in_ring_(src, dst);
@@ -435,16 +436,14 @@ class ShmemTransport final : public Transport {
         mark_protocol_error_(d, "frame/meta length mismatch");
         break;
       }
-      std::uint64_t hash =
-          fnv1a_accum(kFnvOffsetBasis, meta, kParcelMetaBytes);
       if (payload_len != 0) {
         Payload payload = pool_.acquire(payload_len);
         std::span<std::byte> bytes = payload.writable();
         if (!pop_exact_(d, bytes.data(), payload_len)) break;
-        hash = fnv1a_accum(hash, bytes.data(), payload_len);
         parcel.payload = std::move(payload);
       }
-      if (hash != h.checksum) {
+      if (checksum64(parcel.payload.data(), payload_len,
+                     checksum64(meta, kParcelMetaBytes)) != h.checksum) {
         mark_protocol_error_(d, "frame checksum mismatch");
         break;
       }

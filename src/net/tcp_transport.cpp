@@ -99,14 +99,15 @@ class TcpTransport final : public Transport {
     const std::size_t body = kParcelMetaBytes + payload_len;
     scratch.resize(kFrameHeaderBytes + body);
     std::span<std::byte> frame(scratch);
-    std::uint64_t hash = encode_parcel_meta(
+    const std::uint64_t meta_hash = encode_parcel_meta(
         parcel, frame.subspan(kFrameHeaderBytes, kParcelMetaBytes));
+    std::byte* payload_at =
+        frame.data() + kFrameHeaderBytes + kParcelMetaBytes;
     if (payload_len != 0) {
-      std::byte* at = frame.data() + kFrameHeaderBytes + kParcelMetaBytes;
-      std::memcpy(at, parcel.payload.data(), payload_len);
-      hash = fnv1a_accum(hash, at, payload_len);
+      std::memcpy(payload_at, parcel.payload.data(), payload_len);
     }
-    write_frame_header(frame, body, hash);
+    write_frame_header(frame, body,
+                       checksum64(payload_at, payload_len, meta_hash));
 
     const std::size_t link =
         static_cast<std::size_t>(parcel.src) *
@@ -276,7 +277,9 @@ class TcpTransport final : public Transport {
       const std::span<const std::byte> body =
           at.subspan(kFrameHeaderBytes, h.length);
       SAGE_CHECK_AS(CommError,
-                    fnv1a_accum(kFnvOffsetBasis, body.data(), body.size()) ==
+                    checksum64(body.data() + kParcelMetaBytes,
+                               body.size() - kParcelMetaBytes,
+                               checksum64(body.data(), kParcelMetaBytes)) ==
                         h.checksum,
                     "tcp transport: frame checksum mismatch on node ", d);
       Parcel parcel;

@@ -5,7 +5,7 @@
 // connection per directed link on first use (lazily -- an idle link
 // costs nothing) and write length-prefixed frames with TCP_NODELAY set.
 // The reader thread poll()s its accepted connections, reassembles the
-// byte stream into frames (the shared magic/len/FNV-1a framing), and
+// byte stream into frames (the shared magic/len/checksum framing), and
 // re-materializes pooled parcels for the mailbox sink. The loopback
 // mesh is the single-host degenerate case of the cross-host topology:
 // nothing below the port numbers would change with real peers.

@@ -41,7 +41,7 @@ std::uint64_t encode_parcel_meta(const Parcel& parcel,
   std::memcpy(meta.data() + 12, &attempt, 4);
   std::memcpy(meta.data() + 16, &arrival, 8);
   std::memcpy(meta.data() + 24, &len, 8);
-  return fnv1a_accum(kFnvOffsetBasis, meta.data(), kParcelMetaBytes);
+  return checksum64(meta.data(), kParcelMetaBytes);
 }
 
 std::size_t decode_parcel_meta(std::span<const std::byte> meta,

@@ -29,8 +29,11 @@
 // model *before* the transport is involved, so the same CompiledProgram
 // produces bit-identical results on every backend. Serialization
 // happens only at real process boundaries: the wire format is the
-// shared 16-byte magic/len/FNV-1a framing (net/framing.hpp) followed by
-// a fixed parcel-metadata block and the payload bytes.
+// shared 16-byte magic/len/checksum framing (net/framing.hpp) followed
+// by a fixed parcel-metadata block and the payload bytes. The body
+// checksum is checksum64(payload, checksum64(meta)): chained through
+// the seed, so a receiver holding meta and payload in separate buffers
+// can verify them without gathering the body first.
 #pragma once
 
 #include <cstddef>
@@ -89,8 +92,8 @@ struct Parcel {
 inline constexpr std::size_t kParcelMetaBytes = 32;
 
 /// Encodes the metadata block into `meta` (exactly kParcelMetaBytes)
-/// and returns the FNV-1a hash of the block (the start of the frame
-/// body checksum; continue accumulating over the payload bytes).
+/// and returns checksum64 of the block (the seed of the frame body
+/// checksum: checksum64(payload, <this value>)).
 std::uint64_t encode_parcel_meta(const Parcel& parcel,
                                  std::span<std::byte> meta);
 

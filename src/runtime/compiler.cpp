@@ -11,21 +11,11 @@
 
 #include "support/clock.hpp"
 #include "support/error.hpp"
+#include "support/fnv1a.hpp"
 
 namespace sage::runtime {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t fnv1a_accum(std::uint64_t h, std::string_view bytes) {
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// Message tag for one (buffer, src thread, dst thread) channel. The
 /// validated limits (64 buffers, 8 threads) keep this below the user-tag
@@ -239,23 +229,22 @@ void lower_into(CompiledProgram& program) {
 }  // namespace
 
 std::uint64_t registry_fingerprint(const FunctionRegistry& registry) {
-  std::uint64_t h = kFnvOffsetBasis;
+  std::uint64_t h = support::kFnvOffsetBasis;
   for (const std::string& name : registry.names()) {
-    h = fnv1a_accum(h, name);
-    h = fnv1a_accum(h, "\n");
+    h = support::fnv1a(name, h);
+    h = support::fnv1a("\n", h);
   }
   return h;
 }
 
 std::uint64_t Compiler::fingerprint(const GlueConfig& config,
                                     const FunctionRegistry& registry) {
-  std::uint64_t h = kFnvOffsetBasis;
-  h = fnv1a_accum(h, "sage-plan-format ");
+  std::uint64_t h = support::fnv1a("sage-plan-format ");
   h ^= kPlanFormatVersion;
-  h *= kFnvPrime;
-  h = fnv1a_accum(h, runtime::serialize(config));
+  h *= support::kFnvPrime;
+  h = support::fnv1a(runtime::serialize(config), h);
   h ^= registry_fingerprint(registry);
-  h *= kFnvPrime;
+  h *= support::kFnvPrime;
   return h;
 }
 

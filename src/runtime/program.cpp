@@ -15,24 +15,13 @@
 #include <type_traits>
 
 #include "support/error.hpp"
+#include "support/fnv1a.hpp"
 
 namespace sage::runtime {
 
 namespace {
 
 constexpr char kMagic[8] = {'S', 'A', 'G', 'E', 'P', 'L', 'A', 'N'};
-
-constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = kFnvOffsetBasis;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 class Writer {
  public:
@@ -254,7 +243,7 @@ std::string CompiledProgram::serialize() const {
 
   out += body.bytes();
   Writer tail;
-  tail.u64(fnv1a(out));
+  tail.u64(support::fnv1a(out));
   out += tail.bytes();
   return out;
 }
@@ -272,7 +261,7 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::deserialize(
   const std::string_view body = blob.substr(0, blob.size() - 8);
   std::uint64_t stored = 0;
   std::memcpy(&stored, blob.data() + body.size(), sizeof stored);
-  SAGE_CHECK_AS(RuntimeError, fnv1a(body) == stored,
+  SAGE_CHECK_AS(RuntimeError, support::fnv1a(body) == stored,
                 "compiled-program blob corrupt (checksum mismatch)");
 
   Reader r(body.substr(sizeof kMagic));

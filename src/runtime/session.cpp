@@ -129,29 +129,15 @@ void copy_bytes(const std::vector<ByteSeg>& segs,
 // credits) travels inside a checksummed frame, so receivers can reject
 // corrupted deliveries without trusting fabric metadata: a corruption
 // whose byte flips happen to cancel leaves the payload intact and is
-// rightly accepted. The format (magic u32 | payload length u32 | FNV-1a
-// u64) is the shared wire framing in net/framing.hpp, the same one the
-// shmem/TCP transport backends put on every cross-process parcel.
+// rightly accepted. The format (magic u32 | payload length u32 |
+// checksum64 u64) is the shared wire framing in net/framing.hpp, the
+// same one the shmem/TCP transport backends put on every cross-process
+// parcel.
 
-using net::fnv1a_accum;
+using net::checksum64;
 using net::frame_valid;
-using net::kFnvOffsetBasis;
 using net::kFrameHeaderBytes;
 using net::write_frame_header;
-
-/// Gathers compiled segments straight into a frame body while folding
-/// the FNV-1a checksum into the copy pass (each segment is hashed while
-/// still cache-hot). The hash order equals the packed byte order.
-std::uint64_t pack_bytes_hashed(const std::vector<ByteSeg>& segs,
-                                std::span<const std::byte> src,
-                                std::span<std::byte> packed) {
-  std::uint64_t h = kFnvOffsetBasis;
-  for (const ByteSeg& s : segs) {
-    std::memcpy(packed.data() + s.packed_off, src.data() + s.src_off, s.len);
-    h = fnv1a_accum(h, packed.data() + s.packed_off, s.len);
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -1261,9 +1247,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
         credit_frame = pool.acquire(kFrameHeaderBytes + 1);
         const std::span<std::byte> frame = credit_frame.writable();
         frame[kFrameHeaderBytes] = std::byte{0};
-        write_frame_header(
-            frame, 1,
-            fnv1a_accum(kFnvOffsetBasis, frame.data() + kFrameHeaderBytes, 1));
+        write_frame_header(frame, 1,
+                           checksum64(frame.data() + kFrameHeaderBytes, 1));
       }
       send_framed(dst_node, tag, credit_frame, 1, fn_id, t, iter, label);
     } else {
@@ -1503,24 +1488,7 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
             payload = pool.acquire(frame_off + op.bytes);
             const std::span<std::byte> body =
                 payload.writable().subspan(frame_off);
-            if (faulty) {
-              std::uint64_t checksum = 0;
-              {
-                support::ComputeScope scope(node.clock(), node.cpu_scale());
-                if (unique) {
-                  std::vector<std::byte>& logical =
-                      state.logical[static_cast<std::size_t>(op.logical_slot)];
-                  pack_bytes(op.segs, src_staging, logical);
-                  std::memcpy(body.data(), logical.data(), op.bytes);
-                  checksum = fnv1a_accum(kFnvOffsetBasis, body.data(),
-                                         op.bytes);
-                } else {
-                  checksum = pack_bytes_hashed(op.segs, src_staging, body);
-                }
-              }
-              write_frame_header(payload.writable(), op.bytes, checksum);
-              share.bytes_copied += unique ? 2 * op.bytes : op.bytes;
-            } else if (unique) {
+            if (unique) {
               // The unique policy models an extra data access: stage
               // through the logical buffer, then into the payload --
               // both passes charged.
@@ -1542,6 +1510,14 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
               support::ComputeScope scope(node.clock(), node.cpu_scale());
               pack_bytes(op.segs, src_staging, body);
               share.bytes_copied += op.bytes;
+            }
+            if (faulty) {
+              // The body is packed exactly as on the clean path; the
+              // frame adds the header and one checksum pass, charged to
+              // the sender's CPU.
+              support::ComputeScope scope(node.clock(), node.cpu_scale());
+              write_frame_header(payload.writable(), op.bytes,
+                                 checksum64(body.data(), op.bytes));
             }
             if (!unique && op.share_group >= 0) {
               last_group = op.share_group;

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "net/fabric.hpp"
 #include "net/fabric_model.hpp"
+#include "net/framing.hpp"
 #include "net/machine.hpp"
 #include "support/error.hpp"
 
@@ -287,6 +292,172 @@ TEST(MachineTest, RecoversAfterNodeException) {
   const MachineReport report = machine.run(
       [](NodeContext& node) { node.clock().advance(0.002); });
   EXPECT_NEAR(report.makespan(), 0.002, 1e-12);
+}
+
+
+// --- frame checksum and framing ---------------------------------------------
+
+std::uint64_t checksum_of(const std::string& s) {
+  return checksum64(reinterpret_cast<const std::byte*>(s.data()), s.size());
+}
+
+/// `n` deterministic, non-repeating-looking bytes.
+std::vector<std::byte> pattern(std::size_t n) {
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::byte>((i * 131 + 7) ^ (i >> 3));
+  }
+  return out;
+}
+
+/// XXH64 written independently of checksum64: words are assembled one
+/// byte at a time (little-endian, no memcpy loads) and every stage is
+/// index-driven, so a slip in the production stripe or tail handling
+/// shows up as a mismatch.
+std::uint64_t reference_xxh64(const std::vector<std::byte>& in,
+                              std::uint64_t seed) {
+  constexpr std::uint64_t p1 = 0x9E3779B185EBCA87ull;
+  constexpr std::uint64_t p2 = 0xC2B2AE3D27D4EB4Full;
+  constexpr std::uint64_t p3 = 0x165667B19E3779F9ull;
+  constexpr std::uint64_t p4 = 0x85EBCA77C2B2AE63ull;
+  constexpr std::uint64_t p5 = 0x27D4EB2F165667C5ull;
+  const auto word = [&](std::size_t at, int width) {
+    std::uint64_t v = 0;
+    for (int b = width - 1; b >= 0; --b) {
+      v = (v << 8) | std::to_integer<std::uint64_t>(in[at + b]);
+    }
+    return v;
+  };
+  const auto round = [](std::uint64_t acc, std::uint64_t lane) {
+    acc += lane * p2;
+    acc = std::rotl(acc, 31);
+    return acc * p1;
+  };
+  const std::size_t n = in.size();
+  std::size_t i = 0;
+  std::uint64_t h = 0;
+  if (n >= 32) {
+    std::uint64_t v[4] = {seed + p1 + p2, seed + p2, seed, seed - p1};
+    for (; i + 32 <= n; i += 32) {
+      for (int lane = 0; lane < 4; ++lane) {
+        v[lane] = round(v[lane], word(i + 8 * lane, 8));
+      }
+    }
+    h = std::rotl(v[0], 1) + std::rotl(v[1], 7) + std::rotl(v[2], 12) +
+        std::rotl(v[3], 18);
+    for (const std::uint64_t acc : v) {
+      h ^= round(0, acc);
+      h = h * p1 + p4;
+    }
+  } else {
+    h = seed + p5;
+  }
+  h += n;
+  for (; i + 8 <= n; i += 8) {
+    h ^= round(0, word(i, 8));
+    h = std::rotl(h, 27) * p1 + p4;
+  }
+  if (i + 4 <= n) {
+    h ^= word(i, 4) * p1;
+    h = std::rotl(h, 23) * p2 + p3;
+    i += 4;
+  }
+  for (; i < n; ++i) {
+    h ^= std::to_integer<std::uint64_t>(in[i]) * p5;
+    h = std::rotl(h, 11) * p1;
+  }
+  h ^= h >> 33;
+  h *= p2;
+  h ^= h >> 29;
+  h *= p3;
+  h ^= h >> 32;
+  return h;
+}
+
+/// A valid frame of `frame_bytes` total (header + patterned body).
+std::vector<std::byte> make_frame(std::size_t frame_bytes) {
+  std::vector<std::byte> frame(frame_bytes);
+  const std::vector<std::byte> body = pattern(frame_bytes - kFrameHeaderBytes);
+  std::copy(body.begin(), body.end(), frame.begin() + kFrameHeaderBytes);
+  write_frame_header(frame, body.size(),
+                     checksum64(body.data(), body.size()));
+  return frame;
+}
+
+TEST(ChecksumTest, KnownAnswers) {
+  EXPECT_EQ(checksum_of(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(checksum_of("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(checksum_of("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(checksum_of("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+}
+
+TEST(ChecksumTest, MatchesByteAtATimeReferenceForEveryLength) {
+  const std::vector<std::byte> all = pattern(100);
+  for (const std::uint64_t seed : {0ull, 0x9E3779B97F4A7C15ull}) {
+    for (std::size_t len = 0; len <= all.size(); ++len) {
+      const std::vector<std::byte> in(all.begin(),
+                                      all.begin() + static_cast<long>(len));
+      EXPECT_EQ(checksum64(in.data(), len, seed), reference_xxh64(in, seed))
+          << "len " << len << " seed " << seed;
+    }
+  }
+}
+
+TEST(ChecksumTest, UnalignedInputHashesLikeAnAlignedCopy) {
+  const std::vector<std::byte> buf = pattern(200);
+  for (std::size_t off = 0; off < 8; ++off) {
+    const std::vector<std::byte> copy(buf.begin() + static_cast<long>(off),
+                                      buf.begin() + static_cast<long>(off) +
+                                          150);
+    EXPECT_EQ(checksum64(buf.data() + off, 150),
+              checksum64(copy.data(), copy.size()))
+        << "offset " << off;
+  }
+}
+
+TEST(FrameTest, AcceptsIntactFrames) {
+  EXPECT_TRUE(frame_valid(make_frame(257)));
+  EXPECT_TRUE(frame_valid(make_frame(kFrameHeaderBytes)));  // empty body
+}
+
+TEST(FrameTest, RejectsEverySingleByteFlip) {
+  // Fabric::deliverable_ corrupts by XOR-ing 0xFF into chosen bytes;
+  // a flip anywhere -- header or body -- must not validate.
+  const std::vector<std::byte> frame = make_frame(257);
+  for (std::size_t pos = 0; pos < frame.size(); ++pos) {
+    std::vector<std::byte> bad = frame;
+    bad[pos] ^= std::byte{0xFF};
+    EXPECT_FALSE(frame_valid(bad)) << "flip at " << pos;
+  }
+}
+
+TEST(FrameTest, RejectsTamperedHeaderAndShortFrames) {
+  const std::vector<std::byte> frame = make_frame(257);
+  const std::size_t body = frame.size() - kFrameHeaderBytes;
+  const std::uint64_t sum = read_frame_header(frame).checksum;
+
+  std::vector<std::byte> bad_magic = frame;
+  const std::uint32_t magic = kFrameMagic ^ 1u;
+  std::memcpy(bad_magic.data(), &magic, sizeof magic);
+  EXPECT_FALSE(frame_valid(bad_magic));
+
+  std::vector<std::byte> bad_length = frame;
+  write_frame_header(bad_length, body - 1, sum);
+  EXPECT_FALSE(frame_valid(bad_length));
+  write_frame_header(bad_length, body + 1, sum);
+  EXPECT_FALSE(frame_valid(bad_length));
+
+  // A truncated frame whose header was rewritten to match is still
+  // caught by the checksum.
+  std::vector<std::byte> truncated(frame.begin(), frame.end() - 1);
+  write_frame_header(truncated, body - 1, sum);
+  EXPECT_FALSE(frame_valid(truncated));
+
+  for (std::size_t n = 0; n < kFrameHeaderBytes; ++n) {
+    EXPECT_FALSE(frame_valid(std::span<const std::byte>(frame.data(), n)))
+        << n << "-byte frame";
+  }
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include "runtime/program.hpp"
 #include "runtime/session.hpp"
 #include "support/error.hpp"
+#include "support/fnv1a.hpp"
 #include "support/rng.hpp"
 
 #ifndef SAGE_GOLDEN_DIR
@@ -150,21 +151,11 @@ ExecuteOptions quiet_options() {
   return options;
 }
 
-/// The blob's own checksum primitive, reimplemented so reject tests can
-/// re-seal a tampered blob (to prove the *field* checks fire, not just
-/// the checksum).
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-/// Recomputes and patches the trailing whole-blob checksum.
+/// Recomputes and patches the trailing whole-blob checksum, so reject
+/// tests can re-seal a tampered blob (to prove the *field* checks fire,
+/// not just the checksum).
 std::string reseal(std::string blob) {
-  const std::uint64_t sum = fnv1a(std::string_view(blob).substr(
+  const std::uint64_t sum = support::fnv1a(std::string_view(blob).substr(
       0, blob.size() - sizeof(std::uint64_t)));
   std::memcpy(blob.data() + blob.size() - sizeof sum, &sum, sizeof sum);
   return blob;

@@ -58,8 +58,7 @@ TEST(TransportKindTest, ParcelMetaRoundTrips) {
 
   std::vector<std::byte> meta(net::kParcelMetaBytes);
   const std::uint64_t h1 = net::encode_parcel_meta(parcel, meta);
-  const std::uint64_t h2 =
-      net::fnv1a_accum(net::kFnvOffsetBasis, meta.data(), meta.size());
+  const std::uint64_t h2 = net::checksum64(meta.data(), meta.size());
   EXPECT_EQ(h1, h2);
 
   net::Parcel out;

@@ -260,6 +260,16 @@ net::TransportOptions flag_transport(const Args& args) {
   return transport;
 }
 
+/// `--policy unique|shared`: how functions hold their buffers. The
+/// default is one private copy per function.
+runtime::BufferPolicy flag_policy(const Args& args) {
+  const std::string name = args.flag_or("policy", "unique");
+  if (name == "unique") return runtime::BufferPolicy::kUniquePerFunction;
+  if (name == "shared") return runtime::BufferPolicy::kShared;
+  raise<Error>("flag --policy: unknown buffer policy '", name,
+               "' (want unique or shared)");
+}
+
 /// Builds one of the ready-made designs by name, or returns nullptr.
 std::unique_ptr<model::Workspace> make_demo(const std::string& which,
                                             std::size_t n, int nodes) {
@@ -421,10 +431,7 @@ int cmd_run(const Args& args) {
   options.iterations = flag_int(args, "i", "3", 1, 1000000);
   options.buffer_depth = flag_int(args, "depth", "0", 0, 1000000);
   options.transport = flag_transport(args);
-  const std::string policy = args.flag_or("policy", "unique");
-  options.buffer_policy = (policy == "shared")
-                              ? runtime::BufferPolicy::kShared
-                              : runtime::BufferPolicy::kUniquePerFunction;
+  options.buffer_policy = flag_policy(args);
   const int runs = flag_int(args, "r", "1", 1, 1000000);
 
   const std::string plan_path = args.flag_or("fault-plan", "");
