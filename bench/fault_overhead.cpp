@@ -5,9 +5,10 @@
 //   1. What does an *inactive* FaultPlan cost? (contract: nothing --
 //      the run takes the exact unfaulted code path)
 //   2. What does *fault-ready* mode cost when no fault fires? An
-//      active plan reroutes every transfer through framed
-//      send_reliable (16-byte header + XXH64 checksum both ends),
-//      so this isolates the price of being recoverable.
+//      active plan sends every transfer over the reliable path
+//      (an XXH64 body checksum on both ends, carried out of band;
+//      16 bytes of modeled frame per message on the wire), so this
+//      isolates the price of being recoverable.
 //   3. What does recovery cost? Session::recover() host time for a
 //      dead-node remap, and the virtual-time latency of the degraded
 //      run against the full-machine baseline.
@@ -61,7 +62,7 @@ int main() {
   constexpr int kRuns = 10;
   std::printf("Fault-path overhead -- Distributed Corner Turn, 4 nodes\n");
   std::printf("baseline: no plan; inactive: empty plan attached;\n");
-  std::printf("armed: active plan, zero fault probability (framed\n");
+  std::printf("armed: active plan, zero fault probability (checksummed\n");
   std::printf("transfers, no faults fire); chaos: 5%% drop + 5%% corrupt.\n\n");
   std::printf("%-8s %14s %12s %14s %12s\n", "Array", "Mode", "Lat(ms)",
               "vs base", "Host(ms)");

@@ -6,8 +6,8 @@
 #
 #   asan  -- AddressSanitizer + LeakSanitizer: the memory-heavy suites
 #            (buffer-pool reuse across warm runs, striping copies, the
-#            fault-injection frame path and the frame checksum's
-#            unaligned word loads, program blob round-trips). The
+#            node transfer surface's checksummed fault path and the
+#            checksum's unaligned word loads, program blob round-trips). The
 #            LSan suppressions cover a pre-existing bounded leak: the
 #            Alter interpreter's environment<->closure shared_ptr cycle.
 #            All three flavors also run the Alter bytecode pipeline
@@ -16,7 +16,8 @@
 #            a manually indexed value stack -- exactly what sanitizers
 #            are for.
 #   tsan  -- ThreadSanitizer: the concurrency-heavy suites (emulated
-#            machine dispatch handshake, fabric, MPI layer, the
+#            machine dispatch handshake, fabric and its abort wake-up,
+#            the node transfer surface, MPI layer, the
 #            engine/session execution paths, the streaming executor --
 #            overlapped tickets on one machine epoch with credit flow
 #            control -- multi-session sharing of one CompiledProgram,
@@ -31,7 +32,7 @@
 #   ubsan -- UndefinedBehaviorSanitizer: the arithmetic-heavy paths
 #            (compiled transfer programs and their serialized form,
 #            striping/run-intersection math, FFT permutation and twiddle
-#            indexing, fault frame packing, the frame checksum's
+#            indexing, the checksummed fault path and the checksum's
 #            unaligned word loads). UBSan composes with ASan;
 #            set SAGE_EXTRA_CMAKE_FLAGS=-DSAGE_ASAN=ON for the combined
 #            build.
@@ -49,7 +50,7 @@ case "$flavor" in
       integration_pipeline_test viz_test metrics_test program_test \
       random_graph_test serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Checksum|Frame|Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Checksum|NodeTransfer|Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   tsan)
     cmake_flag=-DSAGE_TSAN=ON
@@ -57,7 +58,7 @@ case "$flavor" in
       fault_test viz_test metrics_test program_test random_graph_test \
       serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Machine|Fabric|Mpi|Engine|Session|Streaming|Redistribution|WarmCold|Fault|Degraded|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Machine|NodeTransfer|Fabric|Mpi|Engine|Session|Streaming|Redistribution|WarmCold|Fault|Degraded|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   ubsan)
     cmake_flag=-DSAGE_UBSAN=ON
@@ -65,7 +66,7 @@ case "$flavor" in
       integration_pipeline_test isspl_test registry_test metrics_test \
       program_test random_graph_test serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Checksum|Frame|Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Kernel|Plan|Metrics|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Checksum|NodeTransfer|Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Kernel|Plan|Metrics|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   *)
     echo "usage: $0 <asan|tsan|ubsan> [build-dir]" >&2

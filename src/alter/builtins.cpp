@@ -3,6 +3,9 @@
 // glue-code generator writes files through.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 
 #include "alter/interp.hpp"
 #include "support/error.hpp"
@@ -49,6 +52,36 @@ Value numeric_fold(const std::string& name, const ValueList& args,
     acc = dfold(acc, args[i].as_real());
   }
   return Value(acc);
+}
+
+// Checked int64 arithmetic: a result that does not fit raises an
+// AlterError naming the operator, the way a zero divisor does, instead
+// of wrapping (or, for INT64_MIN / -1, trapping).
+constexpr std::int64_t kIntMin = std::numeric_limits<std::int64_t>::min();
+
+/// Raises the overflow error for `(op a)` or, with `b`, `(op a b)`.
+[[noreturn]] void overflow(const char* op, std::int64_t a,
+                           std::optional<std::int64_t> b = std::nullopt) {
+  if (!b) raise<AlterError>("(", op, " ", a, "): integer overflow");
+  raise<AlterError>("(", op, " ", a, " ", *b, "): integer overflow");
+}
+
+std::int64_t checked_add(std::int64_t a, std::int64_t b) {
+  std::int64_t r = 0;
+  if (__builtin_add_overflow(a, b, &r)) overflow("+", a, b);
+  return r;
+}
+
+std::int64_t checked_sub(std::int64_t a, std::int64_t b) {
+  std::int64_t r = 0;
+  if (__builtin_sub_overflow(a, b, &r)) overflow("-", a, b);
+  return r;
+}
+
+std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
+  std::int64_t r = 0;
+  if (__builtin_mul_overflow(a, b, &r)) overflow("*", a, b);
+  return r;
 }
 
 Value compare_chain(const std::string& name, const ValueList& args,
@@ -109,23 +142,24 @@ void install_core_builtins(Interpreter& interp, const EnvPtr& env) {
 
   // --- arithmetic ------------------------------------------------------------
   def(env, "+", [](Interpreter&, ValueList& args) {
-    return numeric_fold(
-        "+", args, 0, [](std::int64_t a, std::int64_t b) { return a + b; },
-        [](double a, double b) { return a + b; });
+    return numeric_fold("+", args, 0, checked_add,
+                        [](double a, double b) { return a + b; });
   });
   def(env, "-", [](Interpreter&, ValueList& args) {
     if (args.size() == 1) {
-      if (args[0].is_int()) return Value(-args[0].as_int());
+      if (args[0].is_int()) {
+        const std::int64_t v = args[0].as_int();
+        if (v == kIntMin) overflow("-", v);
+        return Value(-v);
+      }
       return Value(-args[0].as_real());
     }
-    return numeric_fold(
-        "-", args, 0, [](std::int64_t a, std::int64_t b) { return a - b; },
-        [](double a, double b) { return a - b; });
+    return numeric_fold("-", args, 0, checked_sub,
+                        [](double a, double b) { return a - b; });
   });
   def(env, "*", [](Interpreter&, ValueList& args) {
-    return numeric_fold(
-        "*", args, 1, [](std::int64_t a, std::int64_t b) { return a * b; },
-        [](double a, double b) { return a * b; });
+    return numeric_fold("*", args, 1, checked_mul,
+                        [](double a, double b) { return a * b; });
   });
   def(env, "/", [](Interpreter&, ValueList& args) {
     expect_min_args("/", args, 2);
@@ -134,6 +168,7 @@ void install_core_builtins(Interpreter& interp, const EnvPtr& env) {
       for (std::size_t i = 1; i < args.size(); ++i) {
         const std::int64_t d = args[i].as_int();
         SAGE_CHECK_AS(AlterError, d != 0, "division by zero");
+        if (acc == kIntMin && d == -1) overflow("/", acc, d);
         acc /= d;
       }
       return Value(acc);
@@ -144,13 +179,19 @@ void install_core_builtins(Interpreter& interp, const EnvPtr& env) {
   });
   def(env, "mod", [](Interpreter&, ValueList& args) {
     expect_args("mod", args, 2);
+    const std::int64_t a = args[0].as_int();
     const std::int64_t d = args[1].as_int();
     SAGE_CHECK_AS(AlterError, d != 0, "mod by zero");
-    return Value(args[0].as_int() % d);
+    if (a == kIntMin && d == -1) overflow("mod", a, d);
+    return Value(a % d);
   });
   def(env, "abs", [](Interpreter&, ValueList& args) {
     expect_args("abs", args, 1);
-    if (args[0].is_int()) return Value(std::abs(args[0].as_int()));
+    if (args[0].is_int()) {
+      const std::int64_t v = args[0].as_int();
+      if (v == kIntMin) overflow("abs", v);
+      return Value(v < 0 ? -v : v);
+    }
     return Value(std::fabs(args[0].as_real()));
   });
   def(env, "min", [](Interpreter&, ValueList& args) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "net/framing.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -61,77 +62,76 @@ Payload Fabric::deliverable_(Payload payload, const FaultOutcome& outcome) {
   return payload;
 }
 
-support::VirtualSeconds Fabric::enqueue_(int src, int dst, int tag,
-                                         Payload payload,
-                                         std::size_t wire_bytes,
-                                         support::VirtualSeconds now_vt,
-                                         const SendOptions& options,
-                                         const FaultOutcome& outcome,
-                                         double extra_arrival_vt,
-                                         int attempt) {
+FaultKind Fabric::enqueue_(int src, int dst, int tag, Payload payload,
+                           std::uint64_t checksum, int attempt,
+                           std::size_t wire_bytes, support::VirtualSeconds& t,
+                           const SendOptions& options) {
   SAGE_CHECK_AS(CommError, src >= 0 && src < node_count_, "bad src rank ", src);
   SAGE_CHECK_AS(CommError, dst >= 0 && dst < node_count_, "bad dst rank ", dst);
+  FaultOutcome outcome;
+  if (plan_ && plan_->active() && !options.fault_exempt) {
+    outcome = plan_->link_outcome(src, dst, next_link_seq_(src, dst));
+  }
 
   const double overhead_factor =
       options.vendor_bulk ? model_.vendor_bulk_overhead_factor : 1.0;
   const double send_cost = model_.send_overhead_s * overhead_factor;
   const double recv_cost = model_.recv_overhead_s * overhead_factor;
-  const support::VirtualSeconds sender_after = now_vt + send_cost;
+  const support::VirtualSeconds sender_after = t + send_cost;
 
   Parcel parcel;
   parcel.src = src;
   parcel.tag = tag;
+  parcel.payload = deliverable_(std::move(payload), outcome);
   parcel.fault = outcome.kind;
   parcel.attempt = attempt;
-  parcel.payload = std::move(payload);
+  parcel.checksum = checksum;
 
-  if (model_.model_contention && !model_.same_board(src, dst)) {
-    // The board-pair channel serializes transfers: the bytes move when
-    // both the sender has issued them and the link has drained. Links
-    // are granted in send-call order (host order), a conservative
-    // approximation of virtual-time arbitration.
-    const int board_a = src / model_.nodes_per_board;
-    const int board_b = dst / model_.nodes_per_board;
-    const auto key = std::minmax(board_a, board_b);
-    const double serialization =
-        static_cast<double>(wire_bytes) / model_.bandwidth_Bps(src, dst);
+  {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    double& link_free = link_free_[link_index_(key.first, key.second)];
-    const double start = std::max(sender_after, link_free);
-    link_free = start + serialization;
-    parcel.arrival_vt =
-        start + serialization + model_.latency_s(src, dst) + recv_cost;
+    LinkStats& link = link_stats_[link_index_(src, dst)];
+    if (model_.model_contention && !model_.same_board(src, dst)) {
+      // The board-pair channel serializes transfers: the bytes move when
+      // both the sender has issued them and the link has drained. Links
+      // are granted in send-call order (host order), a conservative
+      // approximation of virtual-time arbitration.
+      const int board_a = src / model_.nodes_per_board;
+      const int board_b = dst / model_.nodes_per_board;
+      const auto key = std::minmax(board_a, board_b);
+      const double serialization =
+          static_cast<double>(wire_bytes) / model_.bandwidth_Bps(src, dst);
+      double& link_free = link_free_[link_index_(key.first, key.second)];
+      const double start = std::max(sender_after, link_free);
+      link_free = start + serialization;
+      parcel.arrival_vt =
+          start + serialization + model_.latency_s(src, dst) + recv_cost;
+      link.busy_vt += serialization;
+    } else {
+      parcel.arrival_vt = sender_after +
+                          model_.transfer_seconds(src, dst, wire_bytes) +
+                          recv_cost;
+    }
     ++total_messages_;
     total_bytes_ += wire_bytes;
-    LinkStats& link = link_stats_[link_index_(src, dst)];
     ++link.messages;
     link.bytes += wire_bytes;
-    link.busy_vt += serialization;
-  } else {
-    parcel.arrival_vt = sender_after +
-                        model_.transfer_seconds(src, dst, wire_bytes) +
-                        recv_cost;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++total_messages_;
-    total_bytes_ += wire_bytes;
-    LinkStats& link = link_stats_[link_index_(src, dst)];
-    ++link.messages;
-    link.bytes += wire_bytes;
-  }
-  parcel.arrival_vt += extra_arrival_vt;
-
-  if (outcome.kind != FaultKind::kNone) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
     switch (outcome.kind) {
-      case FaultKind::kDrop: ++fault_counters_.drops; break;
+      case FaultKind::kDrop:
+        ++fault_counters_.drops;
+        parcel.arrival_vt += plan_->detect_timeout_vt;
+        break;
       case FaultKind::kCorrupt: ++fault_counters_.corruptions; break;
-      case FaultKind::kDelay: ++fault_counters_.delays; break;
+      case FaultKind::kDelay:
+        ++fault_counters_.delays;
+        parcel.arrival_vt += outcome.delay_vt;
+        break;
       case FaultKind::kNone: break;
     }
   }
 
   transport_->deliver(dst, std::move(parcel));
-  return sender_after;
+  t = sender_after;
+  return outcome.kind;
 }
 
 support::VirtualSeconds Fabric::send(int src, int dst, int tag,
@@ -145,33 +145,21 @@ support::VirtualSeconds Fabric::send(int src, int dst, int tag,
                                      Payload payload,
                                      support::VirtualSeconds now_vt,
                                      SendOptions options) {
-  FaultOutcome outcome;
-  double extra = 0.0;
-  if (plan_ && plan_->active() && !options.fault_exempt) {
-    outcome = plan_->link_outcome(src, dst, next_link_seq_(src, dst));
-    if (outcome.kind == FaultKind::kDrop) extra = plan_->detect_timeout_vt;
-    if (outcome.kind == FaultKind::kDelay) extra = outcome.delay_vt;
-  }
   const std::size_t wire_bytes = payload.size();
-  return enqueue_(src, dst, tag, deliverable_(std::move(payload), outcome),
-                  wire_bytes, now_vt, options, outcome, extra, 0);
-}
-
-SendReceipt Fabric::send_reliable(int src, int dst, int tag,
-                                  std::span<const std::byte> bytes,
-                                  support::VirtualSeconds now_vt,
-                                  SendOptions options) {
-  return send_reliable(src, dst, tag, pool_.copy_of(bytes), now_vt, options);
+  enqueue_(src, dst, tag, std::move(payload), 0, 0, wire_bytes, now_vt,
+           options);
+  return now_vt;
 }
 
 SendReceipt Fabric::send_reliable(int src, int dst, int tag, Payload payload,
+                                  std::uint64_t checksum,
                                   support::VirtualSeconds now_vt,
                                   SendOptions options) {
   SendReceipt receipt;
-  const std::size_t wire_bytes = payload.size();
+  receipt.sender_after = now_vt;
   if (!plan_ || !plan_->active() || options.fault_exempt) {
-    receipt.sender_after = enqueue_(src, dst, tag, std::move(payload),
-                                    wire_bytes, now_vt, options, {}, 0.0, 0);
+    receipt.sender_after =
+        send(src, dst, tag, std::move(payload), now_vt, options);
     return receipt;
   }
 
@@ -182,34 +170,37 @@ SendReceipt Fabric::send_reliable(int src, int dst, int tag, Payload payload,
   // ever blocking for an acknowledgement (sends stay eager, so the
   // fault layer introduces no new deadlock modes). All attempts share
   // the payload's block; faulted attempts tombstone or clone it.
-  support::VirtualSeconds t = now_vt;
+  const std::size_t wire_bytes = payload.size() + kFrameHeaderBytes;
   double backoff = plan_->detect_timeout_vt;
   for (int attempt = 0;; ++attempt) {
     SAGE_CHECK_AS(CommError, attempt < plan_->max_attempts, "link ", src,
                   "->", dst, " tag ", tag, ": transfer still failing after ",
                   plan_->max_attempts,
                   " attempts (unrecoverable link failure under fault plan)");
-    const FaultOutcome outcome =
-        plan_->link_outcome(src, dst, next_link_seq_(src, dst));
-    double extra = 0.0;
-    if (outcome.kind == FaultKind::kDrop) extra = plan_->detect_timeout_vt;
-    if (outcome.kind == FaultKind::kDelay) extra = outcome.delay_vt;
-    t = enqueue_(src, dst, tag, deliverable_(payload, outcome), wire_bytes, t,
-                 options, outcome, extra, attempt);
+    const FaultKind fault = enqueue_(src, dst, tag, payload, checksum, attempt,
+                                     wire_bytes, receipt.sender_after, options);
     receipt.attempts = attempt + 1;
-    if (outcome.kind == FaultKind::kDrop ||
-        outcome.kind == FaultKind::kCorrupt) {
-      t += backoff;
-      backoff *= plan_->backoff_factor;
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++fault_counters_.retransmits;
-      ++link_stats_[link_index_(src, dst)].retransmits;
-      continue;
-    }
-    break;
+    if (fault != FaultKind::kDrop && fault != FaultKind::kCorrupt) break;
+    receipt.sender_after += backoff;
+    backoff *= plan_->backoff_factor;
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++fault_counters_.retransmits;
+    ++link_stats_[link_index_(src, dst)].retransmits;
   }
-  receipt.sender_after = t;
   return receipt;
+}
+
+Message Fabric::take_(Mailbox& box, std::deque<Parcel>::iterator it) {
+  Message out;
+  out.src = it->src;
+  out.tag = it->tag;
+  out.payload = std::move(it->payload);
+  out.arrival_vt = it->arrival_vt;
+  out.fault = it->fault;
+  out.attempt = it->attempt;
+  out.checksum = it->checksum;
+  box.queue.erase(it);
+  return out;
 }
 
 Message Fabric::recv(int dst, int src, int tag, double timeout_wall_s) {
@@ -222,16 +213,10 @@ Message Fabric::recv(int dst, int src, int tag, double timeout_wall_s) {
   for (;;) {
     auto it = std::find_if(box.queue.begin(), box.queue.end(),
                            [&](const Parcel& p) { return match_(p, src, tag); });
-    if (it != box.queue.end()) {
-      Message out;
-      out.src = it->src;
-      out.tag = it->tag;
-      out.payload = std::move(it->payload);
-      out.arrival_vt = it->arrival_vt;
-      out.fault = it->fault;
-      out.attempt = it->attempt;
-      box.queue.erase(it);
-      return out;
+    if (it != box.queue.end()) return take_(box, it);
+    if (aborted_.load(std::memory_order_acquire)) {
+      raise<CommError>("recv on rank ", dst, " waiting for src=", src,
+                       " tag=", tag, " aborted: a peer node failed");
     }
     if (box.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
       raise<CommError>("recv timeout on rank ", dst, " waiting for src=", src,
@@ -248,15 +233,17 @@ std::optional<Message> Fabric::try_recv(int dst, int src, int tag) {
   auto it = std::find_if(box.queue.begin(), box.queue.end(),
                          [&](const Parcel& p) { return match_(p, src, tag); });
   if (it == box.queue.end()) return std::nullopt;
-  Message out;
-  out.src = it->src;
-  out.tag = it->tag;
-  out.payload = std::move(it->payload);
-  out.arrival_vt = it->arrival_vt;
-  out.fault = it->fault;
-  out.attempt = it->attempt;
-  box.queue.erase(it);
-  return out;
+  return take_(box, it);
+}
+
+void Fabric::abort() {
+  aborted_.store(true, std::memory_order_release);
+  // Notify under each mailbox lock: a receiver checks the flag under
+  // the same lock before it waits, so no wake-up is lost.
+  for (Mailbox& box : boxes_) {
+    std::lock_guard<std::mutex> lock(box.mu);
+    box.cv.notify_all();
+  }
 }
 
 std::size_t Fabric::pending(int dst) const {
@@ -303,6 +290,7 @@ void Fabric::reset() {
     std::lock_guard<std::mutex> lock(box.mu);
     box.queue.clear();  // releases parcel payloads back to the pool
   }
+  aborted_.store(false, std::memory_order_release);
   std::lock_guard<std::mutex> lock(stats_mu_);
   total_messages_ = 0;
   total_bytes_ = 0;

@@ -16,9 +16,12 @@
 // emulated ARQ on top: it retransmits dropped/corrupted attempts with
 // exponential virtual-time backoff until delivery or the plan's attempt
 // bound, computing the whole exchange analytically so sends stay eager
-// (no new deadlock modes) and every counter is deterministic.
+// (no new deadlock modes) and every counter is deterministic. A reliable
+// parcel carries its body checksum out of band (Parcel::checksum) and is
+// modeled as framed: it costs body + kFrameHeaderBytes on the wire.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -58,6 +61,8 @@ struct Message {
   FaultKind fault = FaultKind::kNone;
   /// Retransmit attempt index this delivery belongs to (0 = first try).
   int attempt = 0;
+  /// The sender's body checksum (reliable sends; 0 otherwise).
+  std::uint64_t checksum = 0;
 };
 
 /// Delivery options for modeling differently-tuned transfer paths.
@@ -153,26 +158,29 @@ class Fabric {
   /// kDrop/kCorrupt is enqueued as a marked delivery (so the receiver
   /// observes and counts it) followed by a clean retransmit, with the
   /// plan's detection timeout and exponential backoff charged to the
-  /// sender's virtual time. Throws sage::CommError once
-  /// FaultPlan::max_attempts is exhausted. Without an active plan this
-  /// is exactly send().
-  SendReceipt send_reliable(int src, int dst, int tag,
-                            std::span<const std::byte> bytes,
-                            support::VirtualSeconds now_vt,
-                            SendOptions options = {});
-
-  /// Zero-copy reliable send; all clean attempts share the payload's
-  /// block, faulted attempts tombstone or clone it.
+  /// sender's virtual time. Every attempt carries `checksum` (the
+  /// caller's checksum64 of the body) and costs body + kFrameHeaderBytes
+  /// of wire bytes. Throws sage::CommError once FaultPlan::max_attempts
+  /// is exhausted. Without an active plan this is exactly send().
   SendReceipt send_reliable(int src, int dst, int tag, Payload payload,
+                            std::uint64_t checksum,
                             support::VirtualSeconds now_vt,
                             SendOptions options = {});
 
   /// Blocks until a message matching (src, tag) is available for `dst`
   /// (kAnySource / kAnyTag act as wildcards). Throws sage::CommError if
   /// `timeout_wall_s` of host wall time elapses first, which turns
-  /// emulated-network deadlocks into test failures instead of hangs.
+  /// emulated-network deadlocks into test failures instead of hangs,
+  /// or when it would wait on an aborted fabric.
   Message recv(int dst, int src = kAnySource, int tag = kAnyTag,
                double timeout_wall_s = 60.0);
+
+  /// Until reset(), every recv() that finds no matching message queued
+  /// -- blocked now or later -- throws sage::CommError instead of
+  /// waiting. The executor calls it on the first node failure of an
+  /// epoch, so peers waiting for messages the failed node will never
+  /// send surface at once instead of after their receive timeout.
+  void abort();
 
   /// Non-blocking variant; returns std::nullopt when no match is queued.
   std::optional<Message> try_recv(int dst, int src = kAnySource,
@@ -231,19 +239,22 @@ class Fabric {
   /// corruption, the shared handle otherwise.
   Payload deliverable_(Payload payload, const FaultOutcome& outcome);
 
-  /// Shared enqueue path: applies the fabric cost model, marks the
-  /// parcel with `outcome`, and delivers it. `wire_bytes` is the
-  /// logical transfer size (drops deliver an empty tombstone but the
-  /// original bytes crossed the emulated wire and are costed/counted).
-  /// `extra_arrival_vt` models fault-dependent lateness (detection
-  /// timeout for drops, delay_vt for latency spikes). Returns the
-  /// sender's post-send virtual time.
-  support::VirtualSeconds enqueue_(int src, int dst, int tag, Payload payload,
-                                   std::size_t wire_bytes,
-                                   support::VirtualSeconds now_vt,
-                                   const SendOptions& options,
-                                   const FaultOutcome& outcome,
-                                   double extra_arrival_vt, int attempt);
+  /// Shared path of one send attempt: draws the plan's verdict (none
+  /// for exempt sends or without an active plan), resolves it into the
+  /// payload actually delivered, applies the fabric cost model, and
+  /// delivers the parcel. `wire_bytes` is the logical transfer size
+  /// (drops deliver an empty tombstone but the original bytes crossed
+  /// the emulated wire and are costed/counted); drops arrive after the
+  /// plan's detection timeout, delays after their latency spike.
+  /// Advances `t`, the sender's virtual time, past the send and returns
+  /// the verdict.
+  FaultKind enqueue_(int src, int dst, int tag, Payload payload,
+                     std::uint64_t checksum, int attempt,
+                     std::size_t wire_bytes, support::VirtualSeconds& t,
+                     const SendOptions& options);
+
+  /// Removes the matched parcel from `box` as a Message (box.mu held).
+  static Message take_(Mailbox& box, std::deque<Parcel>::iterator it);
 
   std::size_t link_index_(int src, int dst) const {
     return static_cast<std::size_t>(src) * static_cast<std::size_t>(node_count_) +
@@ -257,6 +268,7 @@ class Fabric {
   // destroyed in reverse declaration order).
   BufferPool pool_;
   std::vector<Mailbox> boxes_;
+  std::atomic<bool> aborted_{false};
   std::shared_ptr<const FaultPlan> plan_;
   mutable std::mutex stats_mu_;
   std::uint64_t total_messages_ = 0;

@@ -1,18 +1,19 @@
-// openSAGE -- the shared wire framing: a 16-byte header carrying a
-// magic word, the body length, and a 64-bit checksum of the body.
+// openSAGE -- the wire framing of the byte-stream transports: a 16-byte
+// header carrying a magic word, the body length, and a 64-bit checksum
+// of the body.
 //
 //   magic u32 ("SGEF") | body length u32 | checksum64(body) u64
 //
-// Two layers ride this format:
-//   - the fault-mode transfer frames the runtime::Session wraps around
-//     every data payload and flow-control credit under an active
-//     FaultPlan (the checksum -- not fabric metadata -- is the
-//     receiver's integrity oracle);
-//   - the transport frames the shared-memory and TCP fabric backends
-//     wrap around every parcel that crosses a real process boundary
-//     (length-prefixed so a byte-stream receiver can delimit messages,
-//     checksummed so wire corruption surfaces as a transport bug
-//     instead of silent data damage).
+// The shared-memory and TCP fabric backends wrap it around every parcel
+// that crosses a real process boundary: length-prefixed so a
+// byte-stream receiver can delimit messages, checksummed so wire
+// corruption surfaces as a transport bug instead of silent data damage.
+//
+// checksum64 has a second user: under an active FaultPlan the reliable
+// transfer path (net::NodeContext::send/recv) checksums every body and
+// carries the value out of band on the parcel, not in a header. Such a
+// parcel is still modeled as framed -- kFrameHeaderBytes is what it
+// costs on the emulated wire on top of its body.
 //
 // The checksum is XXH64: four independent 64-bit lanes over 32-byte
 // stripes, so it runs near memory speed where a byte-serial hash
@@ -128,17 +129,6 @@ inline FrameHeader read_frame_header(std::span<const std::byte> bytes) {
   std::memcpy(&h.length, bytes.data() + 4, sizeof h.length);
   std::memcpy(&h.checksum, bytes.data() + 8, sizeof h.checksum);
   return h;
-}
-
-/// True when `frame` (header + body, contiguous) carries the magic, a
-/// length matching the span, and a body that hashes to the checksum.
-inline bool frame_valid(std::span<const std::byte> frame) {
-  if (frame.size() < kFrameHeaderBytes) return false;
-  const FrameHeader h = read_frame_header(frame);
-  if (h.magic != kFrameMagic) return false;
-  if (h.length != frame.size() - kFrameHeaderBytes) return false;
-  return checksum64(frame.data() + kFrameHeaderBytes,
-                    frame.size() - kFrameHeaderBytes) == h.checksum;
 }
 
 }  // namespace sage::net

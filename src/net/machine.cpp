@@ -2,10 +2,67 @@
 
 #include <algorithm>
 #include <exception>
+#include <utility>
 
+#include "net/framing.hpp"
 #include "support/error.hpp"
 
 namespace sage::net {
+
+int NodeContext::send(int dst, int tag, Payload payload) {
+  const FaultPlan* plan = fabric_.fault_plan();
+  if (plan == nullptr || !plan->active()) {
+    clock_.join(fabric_.send(rank_, dst, tag, std::move(payload), now()));
+    return 1;
+  }
+  if (payload.empty() || payload.data() != sealed_.data()) {
+    sealed_checksum_ =
+        compute([&] { return checksum64(payload.data(), payload.size()); });
+    sealed_ = payload;
+  }
+  const SendReceipt receipt = fabric_.send_reliable(
+      rank_, dst, tag, std::move(payload), sealed_checksum_, now());
+  clock_.join(receipt.sender_after);
+  return receipt.attempts;
+}
+
+Delivery NodeContext::recv(int src, int tag, double timeout_wall_s) {
+  Delivery out;
+  const FaultPlan* plan = fabric_.fault_plan();
+  if (plan == nullptr || !plan->active()) {
+    Message msg = fabric_.recv(rank_, src, tag, timeout_wall_s);
+    clock_.join(msg.arrival_vt);
+    out.payload = std::move(msg.payload);
+    return out;
+  }
+  bool first = true;
+  for (;;) {
+    const support::VirtualSeconds start = now();
+    Message msg = fabric_.recv(rank_, src, tag, timeout_wall_s);
+    if (first && msg.attempt > 0) continue;  // leftover retransmit
+    first = false;
+    clock_.join(msg.arrival_vt);
+    if (msg.fault == FaultKind::kDrop) {
+      out.faults.push_back({FaultKind::kDrop, start, now(), 0});
+      continue;
+    }
+    const bool intact = compute([&] {
+      return checksum64(msg.payload.data(), msg.payload.size()) ==
+             msg.checksum;
+    });
+    if (!intact) {
+      out.faults.push_back(
+          {FaultKind::kCorrupt, start, now(), msg.payload.size()});
+      continue;
+    }
+    if (msg.fault == FaultKind::kDelay) {
+      out.faults.push_back(
+          {FaultKind::kDelay, start, now(), msg.payload.size()});
+    }
+    out.payload = std::move(msg.payload);
+    return out;
+  }
+}
 
 support::VirtualSeconds MachineReport::makespan() const {
   support::VirtualSeconds worst = 0.0;

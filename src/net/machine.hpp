@@ -1,14 +1,15 @@
 // openSAGE -- the emulated multicomputer.
 //
 // Machine::run hands each emulated node a NodeContext (rank, fabric
-// handle, virtual clock, CPU scale factor) and executes the node program
-// on one host thread per node. The worker threads are spawned once (on
-// start() or the first run) and then *parked* between runs instead of
-// being joined and re-spawned, so repeated runs -- the warm
-// runtime::Session path -- pay only a condition-variable handshake per
-// run. Exceptions thrown on node threads are captured and rethrown on
-// the caller after all nodes stop. The per-node final virtual times are
-// collected so harnesses can report modeled makespans.
+// handle, virtual clock, CPU scale factor, and the send/recv transfer
+// surface) and executes the node program on one host thread per node.
+// The worker threads are spawned once (on start() or the first run) and
+// then *parked* between runs instead of being joined and re-spawned, so
+// repeated runs -- the warm runtime::Session path -- pay only a
+// condition-variable handshake per run. Exceptions thrown on node
+// threads are captured and rethrown on the caller after all nodes stop.
+// The per-node final virtual times are collected so harnesses can
+// report modeled makespans.
 //
 // run() may be called from one host thread at a time; the fabric and the
 // dispatch state are shared across all nodes of one machine.
@@ -26,6 +27,22 @@
 #include "support/clock.hpp"
 
 namespace sage::net {
+
+/// A faulted delivery NodeContext::recv met on its way to the payload it
+/// returned: a loss tombstone waited out (kDrop), a body that failed its
+/// checksum (kCorrupt), or the accepted delivery arriving late (kDelay).
+struct RecvFault {
+  FaultKind kind = FaultKind::kNone;
+  support::VirtualSeconds start_vt = 0.0;
+  support::VirtualSeconds end_vt = 0.0;
+  std::size_t bytes = 0;  ///< body bytes (0 for a tombstone)
+};
+
+/// The accepted body, plus every faulted delivery met on the way.
+struct Delivery {
+  Payload payload;
+  std::vector<RecvFault> faults;
+};
 
 /// Everything a node program needs: identity, its clock, and the wires.
 class NodeContext {
@@ -52,12 +69,33 @@ class NodeContext {
     return fn();
   }
 
+  /// Sends `payload` to `dst` and joins the clock to the sender's
+  /// post-send time. Under an active fault plan the body is checksummed
+  /// (charged to this node's CPU) and sent over Fabric::send_reliable;
+  /// a payload sharing the block of the one sent just before it (a
+  /// fan-out copy) reuses that checksum. Returns the attempts issued:
+  /// 1 on the clean path, more when the fabric retransmitted.
+  int send(int dst, int tag, Payload payload);
+
+  /// Receives the next body from `src` on `tag` and joins the clock to
+  /// its arrival. Under an active fault plan it skips loss tombstones
+  /// and bodies failing their checksum (the pass is charged to this
+  /// node's CPU), reporting each in Delivery::faults, and discards a
+  /// retransmit that arrives ahead of its transfer's first attempt: that
+  /// transfer was already accepted, from an attempt whose corruption
+  /// left the body intact. Throws sage::CommError on timeout or abort.
+  Delivery recv(int src, int tag, double timeout_wall_s);
+
  private:
   int rank_;
   int size_;
   Fabric& fabric_;
   double cpu_scale_;
   support::VirtualClock clock_;
+  // The last payload send() checksummed, held so its block (and so the
+  // bytes behind the cached checksum) cannot be recycled.
+  Payload sealed_;
+  std::uint64_t sealed_checksum_ = 0;
 };
 
 /// Per-node results of a Machine::run.

@@ -180,7 +180,7 @@ class ShmemTransport final : public Transport {
                        ") is dead");
     }
     // Serialize into a per-thread scratch frame:
-    //   header(16) | parcel meta(32) | payload bytes
+    //   header(16) | parcel meta(40) | payload bytes
     thread_local std::vector<std::byte> scratch;
     const std::size_t payload_len = parcel.payload.size();
     const std::size_t body = kParcelMetaBytes + payload_len;

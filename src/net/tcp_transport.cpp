@@ -93,7 +93,7 @@ class TcpTransport final : public Transport {
   TransportKind kind() const override { return TransportKind::kTcp; }
 
   void deliver(int dst, Parcel&& parcel) override {
-    // Serialize: header(16) | parcel meta(32) | payload bytes.
+    // Serialize: header(16) | parcel meta(40) | payload bytes.
     thread_local std::vector<std::byte> scratch;
     const std::size_t payload_len = parcel.payload.size();
     const std::size_t body = kParcelMetaBytes + payload_len;

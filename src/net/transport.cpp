@@ -35,12 +35,14 @@ std::uint64_t encode_parcel_meta(const Parcel& parcel,
   const auto attempt = static_cast<std::uint32_t>(parcel.attempt);
   const double arrival = parcel.arrival_vt;
   const auto len = static_cast<std::uint64_t>(parcel.payload.size());
+  const std::uint64_t checksum = parcel.checksum;
   std::memcpy(meta.data() + 0, &src, 4);
   std::memcpy(meta.data() + 4, &tag, 4);
   std::memcpy(meta.data() + 8, &fault, 4);
   std::memcpy(meta.data() + 12, &attempt, 4);
   std::memcpy(meta.data() + 16, &arrival, 8);
   std::memcpy(meta.data() + 24, &len, 8);
+  std::memcpy(meta.data() + 32, &checksum, 8);
   return checksum64(meta.data(), kParcelMetaBytes);
 }
 
@@ -54,17 +56,20 @@ std::size_t decode_parcel_meta(std::span<const std::byte> meta,
   std::uint32_t attempt = 0;
   double arrival = 0.0;
   std::uint64_t len = 0;
+  std::uint64_t checksum = 0;
   std::memcpy(&src, meta.data() + 0, 4);
   std::memcpy(&tag, meta.data() + 4, 4);
   std::memcpy(&fault, meta.data() + 8, 4);
   std::memcpy(&attempt, meta.data() + 12, 4);
   std::memcpy(&arrival, meta.data() + 16, 8);
   std::memcpy(&len, meta.data() + 24, 8);
+  std::memcpy(&checksum, meta.data() + 32, 8);
   parcel.src = src;
   parcel.tag = tag;
   parcel.fault = static_cast<FaultKind>(fault);
   parcel.attempt = static_cast<int>(attempt);
   parcel.arrival_vt = arrival;
+  parcel.checksum = checksum;
   return static_cast<std::size_t>(len);
 }
 

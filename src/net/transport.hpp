@@ -25,7 +25,8 @@
 //              back by per-node receiver threads.
 //
 // All three deliver the same Parcel metadata (virtual arrival time,
-// fault marking, attempt index) computed by the Fabric's deterministic
+// fault marking, attempt index, body checksum) computed by the Fabric's
+// deterministic
 // model *before* the transport is involved, so the same CompiledProgram
 // produces bit-identical results on every backend. Serialization
 // happens only at real process boundaries: the wire format is the
@@ -83,13 +84,17 @@ struct Parcel {
   support::VirtualSeconds arrival_vt = 0.0;
   FaultKind fault = FaultKind::kNone;
   int attempt = 0;
+  /// checksum64 of the sender's body, carried out of band on reliable
+  /// sends (0 otherwise): the receiver's integrity oracle under a fault
+  /// plan, which may flip payload bytes in flight.
+  std::uint64_t checksum = 0;
 };
 
 /// Serialized size of a parcel's metadata block (follows the 16-byte
 /// frame header, precedes the payload bytes):
 ///   i32 src | i32 tag | u32 fault | u32 attempt | f64 arrival_vt |
-///   u64 payload_len
-inline constexpr std::size_t kParcelMetaBytes = 32;
+///   u64 payload_len | u64 checksum
+inline constexpr std::size_t kParcelMetaBytes = 40;
 
 /// Encodes the metadata block into `meta` (exactly kParcelMetaBytes)
 /// and returns checksum64 of the block (the seed of the frame body

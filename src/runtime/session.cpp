@@ -124,21 +124,6 @@ void copy_bytes(const std::vector<ByteSeg>& segs,
   }
 }
 
-// --- fault-mode transfer framing -------------------------------------------
-// Under an active fault plan every remote payload (data and flow-control
-// credits) travels inside a checksummed frame, so receivers can reject
-// corrupted deliveries without trusting fabric metadata: a corruption
-// whose byte flips happen to cancel leaves the payload intact and is
-// rightly accepted. The format (magic u32 | payload length u32 |
-// checksum64 u64) is the shared wire framing in net/framing.hpp, the
-// same one the shmem/TCP transport backends put on every cross-process
-// parcel.
-
-using net::checksum64;
-using net::frame_valid;
-using net::kFrameHeaderBytes;
-using net::write_frame_header;
-
 }  // namespace
 
 Session::Session(GlueConfig config, const FunctionRegistry& registry,
@@ -203,8 +188,6 @@ void Session::prewarm_pool_() {
                                      ? options_.buffer_depth
                                      : op.ring_depth) +
         1;
-    // Prewarm the fault-free size; framed fault-mode payloads land in
-    // the next bucket only when bytes is within 16 of the bucket edge.
     want[std::bit_ceil(std::max<std::size_t>(op.bytes, 64))] += depth;
   }
   if (any_remote) {
@@ -662,11 +645,11 @@ Session::TicketParams Session::resolve_(const RunOverrides& request) const {
 }
 
 void Session::begin_epoch_(const TicketParams& params, bool streaming) {
-  const bool faulty = params.plan != nullptr && params.plan->active();
+  const bool active = params.plan != nullptr && params.plan->active();
   reset_between_runs_();
   // An inactive plan must leave the fabric on the exact fault-free code
   // path (bit-identical contract), so only an active plan is attached.
-  machine_->fabric().set_fault_plan(faulty ? params.plan : nullptr);
+  machine_->fabric().set_fault_plan(active ? params.plan : nullptr);
   pool_mark_ = machine_->fabric().pool().stats();
   {
     std::lock_guard<std::mutex> lock(stream_mu_);
@@ -675,7 +658,6 @@ void Session::begin_epoch_(const TicketParams& params, bool streaming) {
     epoch_closing_ = false;
     epoch_failed_ = false;
     epoch_streaming_ = streaming;
-    epoch_faulty_ = faulty;
     epoch_depth_ = params.depth;
     epoch_plan_ = params.plan;
     epoch_program_ = [this](net::NodeContext& node) { stream_worker_(node); };
@@ -708,7 +690,6 @@ void Session::end_epoch_() {
   epoch_closing_ = false;
   epoch_failed_ = false;
   epoch_streaming_ = false;
-  epoch_faulty_ = false;
   epoch_depth_ = 0;
   epoch_plan_.reset();
   epoch_program_ = nullptr;
@@ -779,7 +760,7 @@ Ticket Session::submit_(const RunOverrides& request, bool streaming) {
     lock.unlock();
     end_epoch_();
     // Synchronous runs always open a private epoch: the full
-    // cold-equivalent reset is the run()/run_batch() contract.
+    // cold-equivalent reset is the run() contract.
     begin_epoch_(ticket->params, streaming);
     lock.lock();
   }
@@ -794,15 +775,6 @@ Ticket Session::submit_(const RunOverrides& request, bool streaming) {
 RunStats Session::run(const RunOverrides& request) {
   SAGE_CHECK_AS(RuntimeError, !closed(), "Session::run on a closed session");
   return wait(submit_(request, /*streaming=*/false));
-}
-
-std::vector<RunStats> Session::run_batch(int runs, const RunOverrides& request) {
-  SAGE_CHECK_AS(RuntimeError, runs > 0, "run_batch needs runs > 0, got ",
-                runs);
-  std::vector<RunStats> all;
-  all.reserve(static_cast<std::size_t>(runs));
-  for (int i = 0; i < runs; ++i) all.push_back(run(request));
-  return all;
 }
 
 Ticket Session::submit(const RunOverrides& request) {
@@ -874,17 +846,23 @@ void Session::stream_worker_(net::NodeContext& node) {
   // Marks this node's share of `ticket` finished (stream_mu_ held). The
   // last node to land a ticket computes its completion facts -- tickets
   // complete in submission order, so the previous ticket's complete_vt
-  // is already final -- and wakes the host. A real error from any rank
-  // always outranks the generic poison placeholder: poison lands with
-  // rank + node_count so the root cause is what wait() rethrows even
-  // when a lower rank swept the ticket before the failing rank landed.
+  // is already final -- and wakes the host. The first error of an epoch
+  // is its root cause: it aborts the fabric, so peers blocked on
+  // messages the failed node will never send fail at once. Everything
+  // that lands after it -- those aborted receives, the generic poison
+  // placeholder -- is consequential and ranks with rank + node_count,
+  // so wait() rethrows the root cause whichever rank landed first.
   const auto land = [&](StreamTicket& ticket, std::exception_ptr error,
                         bool poison = false) {
     auto& share = ticket.nodes[static_cast<std::size_t>(rank)];
     share.end_vt = node.now();
     if (error) {
-      epoch_failed_ = true;
-      const int error_rank = rank + (poison ? node_count : 0);
+      const bool consequential = poison || epoch_failed_;
+      if (!epoch_failed_) {
+        epoch_failed_ = true;
+        node.fabric().abort();
+      }
+      const int error_rank = rank + (consequential ? node_count : 0);
       if (ticket.error_rank < 0 || error_rank < ticket.error_rank) {
         ticket.error = std::move(error);
         ticket.error_rank = error_rank;
@@ -1144,136 +1122,83 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
     return epoch_streaming_ ? op.ring_depth : 0;
   };
 
-  // Fault mode: with an active plan, every remote transfer (data and
-  // flow-control credits) travels framed over the reliable fabric path.
-  // The happy path below is untouched when `faulty` is false -- that is
-  // the bit-identical contract.
-  const net::FaultPlan* plan = epoch_plan_.get();
-  const bool faulty = epoch_faulty_;
-  net::Fabric& fabric = node.fabric();
-  net::BufferPool& pool = fabric.pool();
+  // Node-local transfers stay in this loop; every remote one -- data
+  // and flow-control credits alike -- goes through NodeContext::send /
+  // recv, which run the checksummed reliable path whenever the epoch
+  // attached an active fault plan. Here the plan only stalls the node.
+  const net::FaultPlan* plan = node.fabric().fault_plan();
+  net::BufferPool& pool = node.fabric().pool();
 
-  // Cached flow-control credit payloads (content is constant, so one
+  // Cached flow-control credit payload (content is constant, so one
   // pooled block serves every credit send of the run; the fabric's
   // copy-on-write keeps injected corruption off the shared block).
-  net::Payload credit_payload;  // fault-free path: one zero byte
-  net::Payload credit_frame;    // fault path: framed zero byte
+  net::Payload credit;
 
-  const auto record_fault = [&](int fn_id, int t, int iter, double start_vt,
-                                std::uint64_t bytes, std::string label) {
+  /// Records one trace event of this node's share (no-op without
+  /// tracing).
+  const auto record = [&](viz::EventKind kind, int fn_id, int t, int iter,
+                          double start_vt, double end_vt, std::uint64_t bytes,
+                          const std::string& label) {
     if (!trace) return;
     viz::Event e;
-    e.kind = viz::EventKind::kFault;
+    e.kind = kind;
     e.function_id = fn_id;
     e.thread = t;
     e.iteration = iter;
     e.start_vt = start_vt;
-    e.end_vt = node.now();
+    e.end_vt = end_vt;
     e.bytes = bytes;
-    e.label = std::move(label);
+    e.label = label;
     share.events.record(e);
   };
 
-  /// Reliable framed send (fault mode only). The payload is a complete
-  /// frame; the fabric resolves the whole retransmit exchange, the
-  /// sender's clock joins the post-ARQ time, and each retransmit is
+  /// Sends a remote payload; each retransmit the fabric issued is
   /// surfaced as a kRetry event.
-  const auto send_framed = [&](int dst_node, int tag, net::Payload frame,
-                               std::size_t body_bytes, int fn_id, int t,
-                               int iter, const std::string& label) {
+  const auto send_remote = [&](int dst_node, int tag, net::Payload payload,
+                               int fn_id, int t, int iter,
+                               const std::string& label) {
     const double t_before = node.now();
-    const net::SendReceipt receipt = fabric.send_reliable(
-        rank, dst_node, tag, std::move(frame), node.now());
-    node.clock().join(receipt.sender_after);
-    if (trace) {
-      for (int attempt = 1; attempt < receipt.attempts; ++attempt) {
-        viz::Event e;
-        e.kind = viz::EventKind::kRetry;
-        e.function_id = fn_id;
-        e.thread = t;
-        e.iteration = iter;
-        e.start_vt = t_before;
-        e.end_vt = node.now();
-        e.bytes = body_bytes;
-        e.label = label;
-        share.events.record(e);
-      }
+    const std::size_t bytes = payload.size();
+    const int attempts = node.send(dst_node, tag, std::move(payload));
+    for (int attempt = 1; attempt < attempts; ++attempt) {
+      record(viz::EventKind::kRetry, fn_id, t, iter, t_before, node.now(),
+             bytes, label);
     }
   };
 
-  /// Reliable framed receive (fault mode only): consumes deliveries in
-  /// arrival order, counting drop tombstones (loss-detection timeouts)
-  /// and rejecting invalid frames until a clean one lands. The frame
-  /// checksum -- not the fabric's fault flag -- is the integrity oracle,
-  /// so corruption whose flips cancel is rightly accepted. Returns the
-  /// whole pooled frame (header included).
-  const auto recv_framed = [&](int src_node, int tag, int fn_id, int t,
+  /// Receives a remote payload, counting and tracing the faulted
+  /// deliveries met on the way.
+  const auto recv_remote = [&](int src_node, int tag, int fn_id, int t,
                                int iter,
                                const std::string& label) -> net::Payload {
-    for (;;) {
-      const double t_before = node.now();
-      net::Message msg = fabric.recv(rank, src_node, tag, recv_timeout);
-      node.clock().join(msg.arrival_vt);
-      if (msg.fault == net::FaultKind::kDrop) {
+    net::Delivery delivery = node.recv(src_node, tag, recv_timeout);
+    for (const net::RecvFault& f : delivery.faults) {
+      const char* suffix = " [delay]";
+      if (f.kind == net::FaultKind::kDrop) {
         ++share.observed_timeouts;
-        record_fault(fn_id, t, iter, t_before, 0, label + " [timeout]");
-        continue;
-      }
-      bool valid = false;
-      {
-        support::ComputeScope scope(node.clock(), node.cpu_scale());
-        valid = frame_valid(msg.payload);
-      }
-      if (!valid) {
+        suffix = " [timeout]";
+      } else if (f.kind == net::FaultKind::kCorrupt) {
         ++share.observed_corruptions;
-        record_fault(fn_id, t, iter, t_before, msg.payload.size(),
-                     label + " [corrupt]");
-        continue;
+        suffix = " [corrupt]";
       }
-      if (msg.fault == net::FaultKind::kDelay) {
-        record_fault(fn_id, t, iter, t_before, msg.payload.size(),
-                     label + " [delay]");
-      }
-      return std::move(msg.payload);
+      record(viz::EventKind::kFault, fn_id, t, iter, f.start_vt, f.end_vt,
+             f.bytes, label + suffix);
     }
+    return std::move(delivery.payload);
   };
 
-  /// Returns a flow-control credit for a drained slot (1 payload byte;
-  /// framed under an active plan).
+  /// Returns a flow-control credit for a drained slot (1 payload byte).
   const auto send_credit = [&](int dst_node, int tag, int fn_id, int t,
                                int iter, const std::string& label) {
-    if (faulty) {
-      if (credit_frame.empty()) {
-        credit_frame = pool.acquire(kFrameHeaderBytes + 1);
-        const std::span<std::byte> frame = credit_frame.writable();
-        frame[kFrameHeaderBytes] = std::byte{0};
-        write_frame_header(frame, 1,
-                           checksum64(frame.data() + kFrameHeaderBytes, 1));
-      }
-      send_framed(dst_node, tag, credit_frame, 1, fn_id, t, iter, label);
-    } else {
-      if (credit_payload.empty()) {
-        credit_payload = pool.acquire(1);
-        credit_payload.writable()[0] = std::byte{0};
-      }
-      node.clock().join(
-          fabric.send(rank, dst_node, tag, credit_payload, node.now()));
+    if (credit.empty()) {
+      credit = pool.acquire(1);
+      credit.writable()[0] = std::byte{0};
     }
-  };
-
-  /// Blocks until the consumer's credit for a free slot arrives.
-  const auto wait_credit = [&](int src_node, int tag, int fn_id, int t,
-                               int iter, const std::string& label) {
-    if (faulty) {
-      (void)recv_framed(src_node, tag, fn_id, t, iter, label);
-    } else {
-      const net::Message msg = fabric.recv(rank, src_node, tag, recv_timeout);
-      node.clock().join(msg.arrival_vt);
-    }
+    send_remote(dst_node, tag, credit, fn_id, t, iter, label);
   };
 
   for (int iter = 0; iter < iterations; ++iter) {
-    if (faulty) {
+    if (plan != nullptr) {
       // Modeled node hiccup entering this iteration (thermal event,
       // competing load, GC pause on the emulated host...).
       const double stall = plan->stall_vt(rank, iter);
@@ -1281,19 +1206,14 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
         const double t_before = node.now();
         node.clock().advance(stall);
         ++share.stalls;
-        record_fault(-1, 0, iter, t_before, 0, "stall");
+        record(viz::EventKind::kFault, -1, 0, iter, t_before, node.now(), 0,
+               "stall");
       }
     }
     if (state.hosts_source) {
       share.iter_start.push_back(node.now());
-      if (trace) {
-        viz::Event e;
-        e.kind = viz::EventKind::kIterationStart;
-        e.iteration = iter;
-        e.start_vt = e.end_vt = node.now();
-        e.label = "iteration";
-        share.events.record(e);
-      }
+      record(viz::EventKind::kIterationStart, -1, 0, iter, node.now(),
+             node.now(), 0, "iteration");
     }
 
     for (int fn_id : state.order) {
@@ -1309,31 +1229,11 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
           const PlannedBuffer& buf =
               program.buffers[static_cast<std::size_t>(op.buf)];
           const double t_before = node.now();
-          net::Payload payload;
-          std::span<const std::byte> body;
-          if (faulty) {
-            payload = recv_framed(op.src_node, op.tag, fn_id, t, iter,
-                                  buf.label);
-            body = payload.bytes().subspan(kFrameHeaderBytes);
-          } else {
-            net::Message msg =
-                fabric.recv(rank, op.src_node, op.tag, recv_timeout);
-            node.clock().join(msg.arrival_vt);
-            payload = std::move(msg.payload);
-            body = payload.bytes();
-          }
-          if (trace) {
-            viz::Event e;
-            e.kind = viz::EventKind::kReceive;
-            e.function_id = fn_id;
-            e.thread = t;
-            e.iteration = iter;
-            e.start_vt = t_before;
-            e.end_vt = node.now();
-            e.bytes = body.size();
-            e.label = buf.label;
-            share.events.record(e);
-          }
+          net::Payload payload =
+              recv_remote(op.src_node, op.tag, fn_id, t, iter, buf.label);
+          const std::span<const std::byte> body = payload.bytes();
+          record(viz::EventKind::kReceive, fn_id, t, iter, t_before,
+                 node.now(), body.size(), buf.label);
           std::vector<std::byte>& dst_staging =
               state.staging[static_cast<std::size_t>(op.dst_slot)];
           {
@@ -1396,32 +1296,18 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
           share.fn_calls[static_cast<std::size_t>(fn_id)] += 1.0;
         }
         if (trace && cfg.probed(fn_id)) {
-          viz::Event start;
-          start.kind = viz::EventKind::kFunctionStart;
-          start.function_id = fn_id;
-          start.thread = t;
-          start.iteration = iter;
-          start.start_vt = start.end_vt = exec_start;
-          start.label = fn.name;
-          share.events.record(start);
-          viz::Event end = start;
-          end.kind = viz::EventKind::kFunctionEnd;
-          end.start_vt = end.end_vt = node.now();
-          share.events.record(end);
+          record(viz::EventKind::kFunctionStart, fn_id, t, iter, exec_start,
+                 exec_start, 0, fn.name);
+          record(viz::EventKind::kFunctionEnd, fn_id, t, iter, node.now(),
+                 node.now(), 0, fn.name);
         }
         if (kctx.has_result()) {
           share.results.emplace_back(fn_id, iter, kctx.result());
         }
         if (fn.role == "sink") {
           share.iter_end.push_back(node.now());
-          if (trace) {
-            viz::Event e;
-            e.kind = viz::EventKind::kIterationEnd;
-            e.iteration = iter;
-            e.start_vt = e.end_vt = node.now();
-            e.label = "iteration";
-            share.events.record(e);
-          }
+          record(viz::EventKind::kIterationEnd, -1, 0, iter, node.now(),
+                 node.now(), 0, "iteration");
         }
 
         // --- 3. send outputs ----------------------------------------------
@@ -1451,18 +1337,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
               }
             }
             share.bytes_copied += unique ? 2 * op.bytes : op.bytes;
-            if (trace) {
-              viz::Event e;
-              e.kind = viz::EventKind::kBufferCopy;
-              e.function_id = fn_id;
-              e.thread = t;
-              e.iteration = iter;
-              e.start_vt = t_before;
-              e.end_vt = node.now();
-              e.bytes = op.bytes;
-              e.label = buf.label;
-              share.events.record(e);
-            }
+            record(viz::EventKind::kBufferCopy, fn_id, t, iter, t_before,
+                   node.now(), op.bytes, buf.label);
             continue;
           }
 
@@ -1474,7 +1350,7 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
             // ring: the consumer's credit for send (n - depth). The
             // counter is epoch-continuous, so a producer k tickets
             // ahead still respects the ring bound across data sets.
-            wait_credit(op.dst_node, op.tag, fn_id, t, iter,
+            recv_remote(op.dst_node, op.tag, fn_id, t, iter,
                         buf.label + " credit");
           }
           const double t_before = node.now();
@@ -1484,10 +1360,8 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
             // the group leader packed -- send the handle, not a copy.
             payload = group_payload;
           } else {
-            const std::size_t frame_off = faulty ? kFrameHeaderBytes : 0;
-            payload = pool.acquire(frame_off + op.bytes);
-            const std::span<std::byte> body =
-                payload.writable().subspan(frame_off);
+            payload = pool.acquire(op.bytes);
+            const std::span<std::byte> body = payload.writable();
             if (unique) {
               // The unique policy models an extra data access: stage
               // through the logical buffer, then into the payload --
@@ -1511,40 +1385,17 @@ void Session::run_node_ticket_(net::NodeContext& node, StreamTicket& ticket) {
               pack_bytes(op.segs, src_staging, body);
               share.bytes_copied += op.bytes;
             }
-            if (faulty) {
-              // The body is packed exactly as on the clean path; the
-              // frame adds the header and one checksum pass, charged to
-              // the sender's CPU.
-              support::ComputeScope scope(node.clock(), node.cpu_scale());
-              write_frame_header(payload.writable(), op.bytes,
-                                 checksum64(body.data(), op.bytes));
-            }
             if (!unique && op.share_group >= 0) {
               last_group = op.share_group;
               group_payload = payload;
             }
           }
-          if (faulty) {
-            send_framed(op.dst_node, op.tag, std::move(payload), op.bytes,
-                        fn_id, t, iter, buf.label);
-          } else {
-            node.clock().join(fabric.send(rank, op.dst_node, op.tag,
-                                          std::move(payload), node.now()));
-          }
+          send_remote(op.dst_node, op.tag, std::move(payload), fn_id, t, iter,
+                      buf.label);
           share.bytes_moved += op.bytes;
           ++state.sends_done[static_cast<std::size_t>(op_idx)];
-          if (trace) {
-            viz::Event e;
-            e.kind = viz::EventKind::kSend;
-            e.function_id = fn_id;
-            e.thread = t;
-            e.iteration = iter;
-            e.start_vt = t_before;
-            e.end_vt = node.now();
-            e.bytes = op.bytes;
-            e.label = buf.label;
-            share.events.record(e);
-          }
+          record(viz::EventKind::kSend, fn_id, t, iter, t_before, node.now(),
+                 op.bytes, buf.label);
         }
       }
     }

@@ -36,17 +36,17 @@
 // with credit-based flow control (ring bounds computed by the compiler,
 // see TransferOp::ring_depth) keeping every producer at most k
 // iterations ahead of its consumers. The steady-state period is then
-// set by the slowest stage, not the whole chain. run()/run_batch() are
-// thin synchronous wrappers over submit()+wait().
+// set by the slowest stage, not the whole chain. run() is a thin
+// synchronous wrapper over submit()+wait().
 //
 // Lifecycle: create -> run()/submit()* -> close (or destruction). Each
-// synchronous run is bit-equivalent to a cold engine run: virtual
-// clocks restart at zero, the fabric is drained and its totals zeroed,
-// trace buffers and result series are cleared, and staging memory is
-// rezeroed. Overlapped submissions keep bit-identical *results*
-// (checksums) -- flow-control traffic and virtual times may differ from
-// the sequential schedule, and fabric/pool counters are epoch-cumulative
-// at collection time.
+// synchronous run is bit-equivalent to a run on a freshly opened
+// session: virtual clocks restart at zero, the fabric is drained and
+// its totals zeroed, trace buffers and result series are cleared, and
+// staging memory is rezeroed. Overlapped submissions keep bit-identical
+// *results* (checksums) -- flow-control traffic and virtual times may
+// differ from the sequential schedule, and fabric/pool counters are
+// epoch-cumulative at collection time.
 #pragma once
 
 #include <array>
@@ -94,10 +94,9 @@ struct TunerOptions {
   int generations = 0;
 };
 
-/// The unified execution option set, shared by runtime::Session,
-/// runtime::Engine, and the core::Project facade (which derives the
-/// fabric model and CPU scales from the hardware model for any field
-/// left unset).
+/// The unified execution option set, shared by runtime::Session and
+/// the core::Project facade (which derives the fabric model and CPU
+/// scales from the hardware model for any field left unset).
 struct ExecuteOptions {
   BufferPolicy buffer_policy = BufferPolicy::kUniquePerFunction;
   /// Iterations per run; -1 uses the config's iterations-default.
@@ -116,11 +115,11 @@ struct ExecuteOptions {
   /// metric (the paper's "violated latency thresholds"). 0 disables.
   support::VirtualSeconds latency_threshold = 0.0;
   /// Interconnect model. Unset: the Project facade derives it from the
-  /// hardware model; a bare Session/Engine falls back to the CSPI-like
+  /// hardware model; a bare Session falls back to the CSPI-like
   /// net::myrinet_fabric().
   std::optional<net::FabricModel> fabric;
   /// Per-node CPU scale (empty: the Project facade derives from the
-  /// hardware model; a bare Session/Engine uses 1.0 everywhere).
+  /// hardware model; a bare Session uses 1.0 everywhere).
   std::vector<double> cpu_scales;
   /// Which mechanism carries fabric messages (see net/transport.hpp):
   /// the in-process zero-copy path (default), shared-memory rings
@@ -258,8 +257,8 @@ struct RunStats {
 /// The per-run-overridable parameter subset, in optional form: a field
 /// left unset inherits the session's ExecuteOptions value. One struct
 /// serves both the streaming submit() surface and the synchronous
-/// run()/run_batch() wrappers (RunRequest is the deprecated alias);
-/// ExecuteOptions carries the same fields in plain resolved form.
+/// run() wrapper; ExecuteOptions carries the same fields in plain
+/// resolved form.
 struct RunOverrides {
   /// Iterations for this run; 0 inherits the session default.
   int iterations = 0;
@@ -274,11 +273,6 @@ struct RunOverrides {
   /// nullptr disables faults for this run.
   std::optional<std::shared_ptr<const net::FaultPlan>> fault_plan;
 };
-
-/// Deprecated spelling of RunOverrides, from when the struct was
-/// specific to the synchronous run() path.
-using RunRequest [[deprecated(
-    "use sage::runtime::RunOverrides")]] = RunOverrides;
 
 /// Handle to one streamed submission; redeem with Session::poll /
 /// Session::wait. Value-semantic and cheap (an id).
@@ -343,15 +337,8 @@ class Session {
   /// Executes one run on the warm machine and reports its stats.
   /// Synchronous wrapper over submit()+wait(): quiesces any in-flight
   /// streaming work first, so every run() stays bit-equivalent to a
-  /// cold engine run.
+  /// run on a freshly opened session.
   RunStats run(const RunOverrides& request = {});
-
-  /// Deprecated convenience: `runs` consecutive (non-overlapped) warm
-  /// runs, one RunStats each. Use submit()/wait() -- or drain() -- to
-  /// overlap data sets instead of serializing them.
-  [[deprecated(
-      "use Session::submit/wait (streaming) or loop Session::run")]]
-  std::vector<RunStats> run_batch(int runs, const RunOverrides& request = {});
 
   // --- streaming ------------------------------------------------------------
   /// Enqueues one data-set run and returns immediately with a ticket.
@@ -372,14 +359,15 @@ class Session {
   /// A ticket already redeemed by wait()/drain() is *collected*, not
   /// pending: polling it throws the same "unknown or already-collected
   /// ticket" sage::RuntimeError as wait() would (pinned in
-  /// compat_test.cpp) -- completion state lives exactly as long as the
+  /// session_test.cpp) -- completion state lives exactly as long as the
   /// ticket is redeemable.
   /// Throws sage::RuntimeError for unknown or already-collected ids.
   bool poll(Ticket ticket) const;
 
   /// Blocks until `ticket` completes and returns its stats. Each ticket
-  /// is redeemable exactly once; node errors surface here (first
-  /// erroring rank wins, matching Machine::run). Collect tickets in
+  /// is redeemable exactly once; node errors surface here (the root
+  /// cause wins: the first error of the epoch, not the peer failures it
+  /// triggered). Collect tickets in
   /// submission order for deterministic metrics snapshots.
   RunStats wait(Ticket ticket);
 
@@ -551,7 +539,6 @@ class Session {
   /// Epoch-wide execution parameters (fabric-level state that cannot
   /// change between overlapped tickets).
   bool epoch_streaming_ = false;  // ring-depth defaults + period stats
-  bool epoch_faulty_ = false;
   int epoch_depth_ = 0;
   std::shared_ptr<const net::FaultPlan> epoch_plan_;
   std::uint64_t next_ticket_id_ = 1;

@@ -4,6 +4,11 @@
 // differential against the tree-walking reference evaluator).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "alter/compiler.hpp"
 #include "alter/interp.hpp"
 #include "alter/reader.hpp"
@@ -400,6 +405,37 @@ TEST(BuiltinTest, Format) {
   EXPECT_EQ(run("(format \"~~\")").as_string(), "~");
   EXPECT_THROW(run("(format \"~a\")"), AlterError);  // missing arg
   EXPECT_THROW(run("(format \"~z\" 1)"), AlterError);
+}
+
+TEST(BuiltinTest, IntegerOverflowIsAnErrorNamingTheOperator) {
+  // int64 arithmetic is checked in both evaluators (they share the
+  // builtins): no wrap-around, and no SIGFPE from INT64_MIN / -1.
+  const std::string max = "9223372036854775807";
+  const std::string min = "(- 0 " + max + " 1)";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"(* " + max + " 2)", "(* "},     {"(+ " + max + " 1)", "(+ "},
+      {"(- " + min + " 1)", "(- "},     {"(- " + min + ")", "(- "},
+      {"(abs " + min + ")", "(abs "},   {"(/ " + min + " -1)", "(/ "},
+      {"(mod " + min + " -1)", "(mod "}};
+  for (const Interpreter::Mode mode :
+       {Interpreter::Mode::kCompiled, Interpreter::Mode::kTreeWalk}) {
+    for (const auto& [src, op] : cases) {
+      try {
+        Interpreter(mode).eval_string(src);
+        ADD_FAILURE() << src << " must overflow";
+      } catch (const AlterError& e) {
+        EXPECT_EQ(std::string(e.what()).rfind(op, 0), 0u) << e.what();
+        EXPECT_NE(std::string(e.what()).find("integer overflow"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The edges themselves still compute.
+  EXPECT_EQ(run(min).as_int(), INT64_MIN);
+  EXPECT_EQ(run("(abs (- " + max + "))").as_int(), INT64_MAX);
+  EXPECT_EQ(run("(/ " + min + " 1)").as_int(), INT64_MIN);
+  EXPECT_EQ(run("(mod " + min + " 1)").as_int(), 0);
 }
 
 TEST(BuiltinTest, ErrorsAndAsserts) {

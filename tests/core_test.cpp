@@ -59,22 +59,6 @@ TEST(ProjectTest, OpenSessionDerivesPlatformFromHardwareModel) {
   EXPECT_EQ(tuned->options().buffer_depth, 1);
 }
 
-// The pre-session entry points must keep compiling (deprecated) and
-// behave identically.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ProjectTest, DeprecatedEntryPointsStillWork) {
-  Project project(apps::make_cornerturn_workspace(64, 2));
-  project.workspace().application().set_property("iterations", 4);
-  EXPECT_EQ(project.generate(/*force=*/true).config.iterations_default, 4);
-
-  core::ExecuteOptions options;  // deprecated alias of the unified struct
-  options.iterations = 2;
-  options.collect_trace = false;
-  EXPECT_EQ(project.execute(options).iterations, 2);
-}
-#pragma GCC diagnostic pop
-
 TEST(ProjectTest, ExecuteUsesHardwareModelParameters) {
   // Two projects differing only in cpu_scale: the slower platform's
   // modeled latency must be larger.

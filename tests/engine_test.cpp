@@ -1,13 +1,14 @@
-// Runtime-engine tests: hand-built glue configurations exercising
-// sequencing, striping delivery, replication, parameters, buffer
-// policies, results aggregation, and failure modes.
+// Run-time kernel tests: hand-built glue configurations driven through
+// runtime::Session, exercising sequencing, striping delivery,
+// replication, parameters, buffer policies, results aggregation, and
+// failure modes.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "runtime/engine.hpp"
 #include "runtime/glue_config.hpp"
 #include "runtime/registry.hpp"
+#include "runtime/session.hpp"
 #include "support/error.hpp"
 
 namespace sage::runtime {
@@ -135,8 +136,7 @@ TEST_P(RedistributionTest, DeliversEveryElementToTheRightPlace) {
   GlueConfig config = two_stage_config(
       param.nodes, param.threads, param.src_striping, param.src_dim,
       param.dst_striping, param.dst_dim, dims);
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  const RunStats stats = Session(config, test_registry()).run();
 
   const double per_thread_total = expected_index_sum(dims);
   const int sink_threads =
@@ -195,8 +195,7 @@ TEST(EngineTest, ThreeDimensionalMiddleAxisRedistribution) {
   // dims[2] = 6 doesn't divide over 4 threads; use 2 threads for dim 2.
   config.functions[1].threads = 2;
   config.functions[1].thread_nodes = {0, 1};
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  const RunStats stats = Session(config, test_registry()).run();
   EXPECT_NEAR(stats.results.at("sink")[0], expected_index_sum({4, 8, 6}),
               1.0);
 }
@@ -205,8 +204,7 @@ TEST(EngineTest, ThreeDimensionalReplicationFanOut) {
   GlueConfig config = two_stage_config(2, 2, model::Striping::kStriped, 2,
                                        model::Striping::kReplicated, 0,
                                        {2, 3, 4});
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  const RunStats stats = Session(config, test_registry()).run();
   // Every sink thread sees the whole cube.
   EXPECT_NEAR(stats.results.at("sink")[0],
               2.0 * expected_index_sum({2, 3, 4}), 1.0);
@@ -254,8 +252,7 @@ TEST(EngineTest, ProducerConsumerThreadCountsMayDiffer) {
   config.schedule[0] = {0, 1};
   config.schedule[1] = {0, 1};
 
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  const RunStats stats = Session(config, test_registry()).run();
   EXPECT_NEAR(stats.results.at("sink")[0], expected_index_sum(dims), 1.0);
 }
 
@@ -263,8 +260,7 @@ TEST(EngineTest, MultipleIterationsProduceIndependentResults) {
   GlueConfig config = two_stage_config(2, 2, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {8, 8});
   config.iterations_default = 5;
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  const RunStats stats = Session(config, test_registry()).run();
   ASSERT_EQ(stats.results.at("sink").size(), 5u);
   for (double v : stats.results.at("sink")) {
     EXPECT_NEAR(v, expected_index_sum({8, 8}), 1.0);
@@ -281,8 +277,7 @@ TEST(EngineTest, BothBufferPoliciesDeliverIdenticalData) {
                                          {16, 16});
     ExecuteOptions options;
     options.buffer_policy = policy;
-    Engine engine(config, test_registry(), options);
-    const RunStats stats = engine.run();
+    const RunStats stats = Session(config, test_registry(), options).run();
     EXPECT_NEAR(stats.results.at("sink")[0], expected_index_sum({16, 16}),
                 1.0)
         << to_string(policy);
@@ -305,11 +300,11 @@ TEST(EngineTest, UniquePolicyCostsMoreThanShared) {
   auto copy_time = [&](BufferPolicy policy) {
     ExecuteOptions options;
     options.buffer_policy = policy;
-    Engine engine(config, test_registry(), options);
-    engine.run();  // warm-up: first-touch page faults land here
+    Session session(config, test_registry(), options);
+    session.run();  // warm-up: first-touch page faults land here
     double best = -1.0;
     for (int i = 0; i < 3; ++i) {
-      const RunStats stats = engine.run();
+      const RunStats stats = session.run();
       double total = 0.0;
       for (const viz::Event& e : stats.trace.events()) {
         if (e.kind == viz::EventKind::kSend ||
@@ -341,8 +336,7 @@ TEST(EngineTest, KernelParametersReachTheKernel) {
   config.functions[0].kernel = "test.param_source";
   config.functions[1].kernel = "test.sum_sink";
 
-  Engine engine(config, registry);
-  const RunStats stats = engine.run();
+  const RunStats stats = Session(config, registry).run();
   EXPECT_NEAR(stats.results.at("sink")[0], 2.5 * 16, 1e-3);
 }
 
@@ -350,21 +344,21 @@ TEST(EngineTest, MissingKernelIsALoadError) {
   GlueConfig config = two_stage_config(1, 1, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {4, 4});
   config.functions[0].kernel = "no.such.kernel";
-  EXPECT_THROW(Engine(config, test_registry()), RuntimeError);
+  EXPECT_THROW(Session(config, test_registry()), RuntimeError);
 }
 
 TEST(EngineTest, MismatchedBufferSizesAreAConfigError) {
   GlueConfig config = two_stage_config(1, 1, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {4, 4});
   config.functions[1].ports[0].dims = {4, 8};  // consumer expects more
-  EXPECT_THROW(Engine(config, test_registry()), ConfigError);
+  EXPECT_THROW(Session(config, test_registry()), ConfigError);
 }
 
 TEST(EngineTest, ScheduleMissingAFunctionIsAConfigError) {
   GlueConfig config = two_stage_config(2, 2, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {4, 4});
   config.schedule[1] = {0};  // sink missing on node 1
-  EXPECT_THROW(Engine(config, test_registry()), ConfigError);
+  EXPECT_THROW(Session(config, test_registry()), ConfigError);
 }
 
 TEST(EngineTest, BoundedBuffersPreserveResults) {
@@ -374,8 +368,7 @@ TEST(EngineTest, BoundedBuffersPreserveResults) {
   for (const int depth : {1, 2, 3}) {
     ExecuteOptions options;
     options.buffer_depth = depth;
-    Engine engine(config, test_registry(), options);
-    const RunStats stats = engine.run();
+    const RunStats stats = Session(config, test_registry(), options).run();
     for (double v : stats.results.at("sink")) {
       EXPECT_NEAR(v, expected_index_sum({16, 16}), 1.0) << "depth " << depth;
     }
@@ -442,8 +435,7 @@ TEST(EngineTest, BackpressureThrottlesAPipelinedProducer) {
     ExecuteOptions options;
     options.buffer_depth = depth;
     options.collect_trace = false;
-    Engine engine(config, registry, options);
-    RunStats stats = engine.run();
+    RunStats stats = Session(config, registry, options).run();
     // All correctness intact either way.
     EXPECT_NEAR(stats.results.at("sink").back(),
                 expected_index_sum(dims), 2.0);
@@ -466,8 +458,8 @@ TEST(EngineTest, KernelExceptionPropagatesToCaller) {
   config.functions[0].kernel = "test.bomb";
   ExecuteOptions options;
   options.recv_timeout_s = 2.0;  // peers stuck on the dead producer
-  Engine engine(config, registry, options);
-  EXPECT_THROW(engine.run(), Error);
+  Session session(config, registry, options);
+  EXPECT_THROW(session.run(), Error);
 }
 
 TEST(EngineTest, WrongScheduleOrderIsDetectedAsDeadlock) {
@@ -505,8 +497,8 @@ TEST(EngineTest, WrongScheduleOrderIsDetectedAsDeadlock) {
   ExecuteOptions options;
   options.recv_timeout_s = 0.3;
   options.collect_trace = false;
-  Engine engine(config, test_registry(), options);
-  EXPECT_THROW(engine.run(), CommError);
+  Session session(config, test_registry(), options);
+  EXPECT_THROW(session.run(), CommError);
 }
 
 TEST(EngineTest, ContentionFabricStillDeliversCorrectData) {
@@ -516,8 +508,7 @@ TEST(EngineTest, ContentionFabricStillDeliversCorrectData) {
   net::FabricModel contended = net::myrinet_fabric();
   contended.model_contention = true;
   options.fabric = contended;
-  Engine engine(config, test_registry(), options);
-  const RunStats stats = engine.run();
+  const RunStats stats = Session(config, test_registry(), options).run();
   EXPECT_NEAR(stats.results.at("sink")[0], expected_index_sum({16, 16}), 1.0);
 }
 
@@ -525,8 +516,7 @@ TEST(EngineTest, TraceCoversEveryFunctionInvocation) {
   GlueConfig config = two_stage_config(2, 2, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {8, 8});
   config.iterations_default = 2;
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  const RunStats stats = Session(config, test_registry()).run();
   int starts = 0;
   for (const viz::Event& e : stats.trace.events()) {
     if (e.kind == viz::EventKind::kFunctionStart) ++starts;
@@ -540,8 +530,7 @@ TEST(EngineTest, SelectiveProbesRestrictFunctionEvents) {
                                        model::Striping::kStriped, 0, {8, 8});
   config.iterations_default = 2;
   config.probes = {1};  // only the sink is instrumented
-  Engine engine(config, test_registry());
-  const RunStats stats = engine.run();
+  const RunStats stats = Session(config, test_registry()).run();
   int starts = 0;
   for (const viz::Event& e : stats.trace.events()) {
     if (e.kind == viz::EventKind::kFunctionStart) {
@@ -559,7 +548,7 @@ TEST(EngineTest, ProbeIdOutOfRangeRejected) {
   GlueConfig config = two_stage_config(1, 1, model::Striping::kStriped, 0,
                                        model::Striping::kStriped, 0, {4, 4});
   config.probes = {7};
-  EXPECT_THROW(Engine(config, test_registry()), ConfigError);
+  EXPECT_THROW(Session(config, test_registry()), ConfigError);
 }
 
 }  // namespace

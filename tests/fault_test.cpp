@@ -17,6 +17,7 @@
 #include "net/fabric.hpp"
 #include "net/fault.hpp"
 #include "net/machine.hpp"
+#include "support/clock.hpp"
 #include "support/error.hpp"
 
 namespace sage {
@@ -252,7 +253,7 @@ TEST(FabricFaultTest, SendReliableRetransmitsUntilClean) {
 
   const auto payload = bytes_of("payload");
   const net::SendReceipt receipt =
-      fabric.send_reliable(0, 1, 9, payload, 0.0);
+      fabric.send_reliable(0, 1, 9, fabric.pool().copy_of(payload), 0, 0.0);
   EXPECT_EQ(receipt.attempts, 3);
   // Two detection timeouts plus exponential backoff are charged to the
   // sender's virtual time.
@@ -282,7 +283,10 @@ TEST(FabricFaultTest, SendReliableThrowsWhenAttemptsExhausted) {
   plan->link_rules.push_back(rule);
   fabric.set_fault_plan(plan);
 
-  EXPECT_THROW(fabric.send_reliable(0, 1, 2, bytes_of("x"), 0.0), CommError);
+  EXPECT_THROW(
+      fabric.send_reliable(0, 1, 2, fabric.pool().copy_of(bytes_of("x")), 0,
+                           0.0),
+      CommError);
 }
 
 TEST(FabricFaultTest, ResetClearsFaultStateAndLinkSequences) {
@@ -480,6 +484,60 @@ TEST(FaultPipelineTest, CreditFlowPathRecoversUnderFaults) {
   const runtime::RunStats stats = run_cornerturn(chaotic);
   EXPECT_EQ(stats.results, baseline.results);
   EXPECT_GT(stats.faults.retries + stats.faults.injected_delays, 0u);
+}
+
+TEST(FaultPipelineTest, CancelledCorruptionFlipsKeepTheCleanResults) {
+  // Two flips per corruption on a corner turn with tiny bodies: now and
+  // then both land on one byte and cancel, so a corrupted attempt
+  // passes its checksum while its retransmit is already queued. The
+  // stale retransmit must not be taken for the next transfer.
+  core::Project project(apps::make_cornerturn_workspace(4, 2));
+  runtime::ExecuteOptions options;
+  options.iterations = 200;
+  options.collect_trace = false;
+  auto session = project.open_session(options);
+  const runtime::RunStats clean = session->run();
+
+  runtime::RunOverrides faulted;
+  faulted.fault_plan = std::make_shared<const FaultPlan>(FaultPlan::parse(
+      "fault-plan 1\nseed 1\ncorrupt link=* p=0.5 bytes=2\n"));
+  const runtime::RunStats stats = session->run(faulted);
+  EXPECT_EQ(stats.results, clean.results);
+  EXPECT_GT(stats.faults.injected_corruptions,
+            stats.faults.corruptions_detected);  // some flips did cancel
+}
+
+TEST(FaultPipelineTest, UnrecoverableLinkFailsFastWithTheRootCause) {
+  // The sender gives up after max-attempts while its peer is blocked in
+  // a receive. With the default 60 s receive timeout, the run must
+  // still fail at once -- and with the sender's error, whichever rank
+  // sent it.
+  core::Project project(apps::make_cornerturn_workspace(4, 2));
+  runtime::ExecuteOptions options;
+  options.iterations = 2;
+  options.collect_trace = false;
+  ASSERT_EQ(options.recv_timeout_s, 60.0);
+  auto session = project.open_session(options);
+  const runtime::RunStats clean = session->run();
+
+  for (const std::string link : {"1->0", "0->1"}) {
+    runtime::RunOverrides failing;
+    failing.fault_plan = std::make_shared<const FaultPlan>(FaultPlan::parse(
+        "fault-plan 1\nseed 7\nmax-attempts 2\ncorrupt link=" + link +
+        " p=1\n"));
+    const double start = support::wall_seconds();
+    try {
+      session->run(failing);
+      ADD_FAILURE() << link << ": the run must fail";
+    } catch (const CommError& e) {
+      EXPECT_NE(std::string(e.what()).find("transfer still failing"),
+                std::string::npos)
+          << link << ": " << e.what();
+    }
+    EXPECT_LT(support::wall_seconds() - start, 5.0) << link;
+    // The aborted fabric is reset with the next epoch.
+    EXPECT_EQ(session->run().results, clean.results) << link;
+  }
 }
 
 // --- degraded mode ---------------------------------------------------------

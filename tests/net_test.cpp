@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "net/fabric.hpp"
 #include "net/fabric_model.hpp"
 #include "net/framing.hpp"
 #include "net/machine.hpp"
+#include "support/clock.hpp"
 #include "support/error.hpp"
 
 namespace sage::net {
@@ -374,15 +379,6 @@ std::uint64_t reference_xxh64(const std::vector<std::byte>& in,
   return h;
 }
 
-/// A valid frame of `frame_bytes` total (header + patterned body).
-std::vector<std::byte> make_frame(std::size_t frame_bytes) {
-  std::vector<std::byte> frame(frame_bytes);
-  const std::vector<std::byte> body = pattern(frame_bytes - kFrameHeaderBytes);
-  std::copy(body.begin(), body.end(), frame.begin() + kFrameHeaderBytes);
-  write_frame_header(frame, body.size(),
-                     checksum64(body.data(), body.size()));
-  return frame;
-}
 
 TEST(ChecksumTest, KnownAnswers) {
   EXPECT_EQ(checksum_of(""), 0xef46db3751d8e999ull);
@@ -416,48 +412,195 @@ TEST(ChecksumTest, UnalignedInputHashesLikeAnAlignedCopy) {
   }
 }
 
-TEST(FrameTest, AcceptsIntactFrames) {
-  EXPECT_TRUE(frame_valid(make_frame(257)));
-  EXPECT_TRUE(frame_valid(make_frame(kFrameHeaderBytes)));  // empty body
+// --- NodeContext::send / recv ------------------------------------------------
+
+/// An active plan that never faults a link (one zero stall rule).
+std::shared_ptr<FaultPlan> quiet_plan() {
+  auto plan = std::make_shared<FaultPlan>();
+  plan->stall_rules.push_back({});
+  return plan;
 }
 
-TEST(FrameTest, RejectsEverySingleByteFlip) {
-  // Fabric::deliverable_ corrupts by XOR-ing 0xFF into chosen bytes;
-  // a flip anywhere -- header or body -- must not validate.
-  const std::vector<std::byte> frame = make_frame(257);
-  for (std::size_t pos = 0; pos < frame.size(); ++pos) {
-    std::vector<std::byte> bad = frame;
+/// Node 0 sends to node 1 over one fabric, both driven from the test
+/// thread: a reliable send enqueues every attempt at once, so the
+/// receive that follows never blocks.
+class NodeTransferTest : public ::testing::Test {
+ protected:
+  /// Attaches a plan faulting the first message on 0->1 with `kind`,
+  /// or (kNone) an active plan that never faults a link.
+  void plan(FaultKind kind, std::size_t corrupt_bytes = 1) {
+    auto plan = quiet_plan();
+    if (kind != FaultKind::kNone) {
+      plan->link_rules.push_back(
+          {0, 1, kind, 0.0, /*at_index=*/0, /*delay_vt=*/1e-3, corrupt_bytes});
+    }
+    fabric_.set_fault_plan(plan);
+  }
+  Payload copy(const std::vector<std::byte>& bytes) {
+    return fabric_.pool().copy_of(bytes);
+  }
+  /// Receives on tag 1 and checks the one fault met on the way.
+  void expect_one_fault(FaultKind kind, const std::vector<std::byte>& body,
+                        std::size_t fault_bytes) {
+    const Delivery delivery = receiver_.recv(0, 1, 10.0);
+    ASSERT_EQ(delivery.faults.size(), 1u);
+    EXPECT_EQ(delivery.faults[0].kind, kind);
+    EXPECT_EQ(delivery.faults[0].bytes, fault_bytes);
+    EXPECT_GE(delivery.faults[0].end_vt, delivery.faults[0].start_vt);
+    EXPECT_EQ(delivery.payload, body);
+  }
+
+  Fabric fabric_{2, myrinet_fabric()};
+  NodeContext sender_{0, 2, fabric_, 1.0};
+  NodeContext receiver_{1, 2, fabric_, 1.0};
+  const std::vector<std::byte> body_ = pattern(257);
+};
+
+TEST_F(NodeTransferTest, CleanPathMatchesBareFabricCalls) {
+  Fabric bare(2, myrinet_fabric());
+  NodeContext bare_sender(0, 2, bare, 1.0);
+  NodeContext bare_receiver(1, 2, bare, 1.0);
+  sender_.clock().advance(1e-3);
+  bare_sender.clock().advance(1e-3);
+  for (int tag = 0; tag < 3; ++tag) {
+    EXPECT_EQ(sender_.send(1, tag, copy(body_)), 1);
+    bare_sender.clock().join(
+        bare.send(0, 1, tag, copy(body_), bare_sender.now()));
+    const Delivery delivery = receiver_.recv(0, tag, 10.0);
+    EXPECT_TRUE(delivery.faults.empty());
+    EXPECT_EQ(delivery.payload, body_);
+    bare_receiver.clock().join(bare.recv(1, 0, tag, 10.0).arrival_vt);
+  }
+  EXPECT_EQ(sender_.now(), bare_sender.now());
+  EXPECT_EQ(receiver_.now(), bare_receiver.now());
+  EXPECT_EQ(fabric_.total_messages(), bare.total_messages());
+  EXPECT_EQ(fabric_.total_bytes(), 3 * body_.size());  // no frame
+  EXPECT_EQ(bare.total_bytes(), 3 * body_.size());
+}
+
+TEST_F(NodeTransferTest, TombstoneIsSkippedAndReportedAsATimeout) {
+  plan(FaultKind::kDrop);
+  EXPECT_EQ(sender_.send(1, 1, copy(body_)), 2);
+  expect_one_fault(FaultKind::kDrop, body_, 0);
+  EXPECT_EQ(fabric_.pending(1), 0u);
+  // The body travels alone; each attempt is modeled as a framed parcel.
+  EXPECT_EQ(fabric_.total_bytes(), 2 * (body_.size() + kFrameHeaderBytes));
+}
+
+TEST_F(NodeTransferTest, DelayedDeliveryIsAcceptedAndReported) {
+  plan(FaultKind::kDelay);
+  EXPECT_EQ(sender_.send(1, 1, copy(body_)), 1);
+  expect_one_fault(FaultKind::kDelay, body_, body_.size());
+  EXPECT_GE(receiver_.now(), 1e-3);  // the latency spike was waited out
+}
+
+TEST_F(NodeTransferTest, CorruptedCreditSizedPayloadIsRejected) {
+  plan(FaultKind::kCorrupt);
+  const std::vector<std::byte> credit{std::byte{0}};
+  EXPECT_EQ(sender_.send(1, 1, copy(credit)), 2);
+  expect_one_fault(FaultKind::kCorrupt, credit, 1);
+}
+
+TEST_F(NodeTransferTest, RejectsEverySingleByteFlipOfABody) {
+  // Fabric::deliverable_ corrupts by XOR-ing 0xFF into chosen bytes; a
+  // flip anywhere in the body must fail the out-of-band checksum. Each
+  // flipped copy carries the intact body's checksum, and the intact
+  // body follows it.
+  plan(FaultKind::kNone);
+  const std::uint64_t sum = checksum64(body_.data(), body_.size());
+  for (std::size_t pos = 0; pos < body_.size(); ++pos) {
+    std::vector<std::byte> bad = body_;
     bad[pos] ^= std::byte{0xFF};
-    EXPECT_FALSE(frame_valid(bad)) << "flip at " << pos;
+    fabric_.send_reliable(0, 1, 1, copy(bad), sum, 0.0);
+    fabric_.send_reliable(0, 1, 1, copy(body_), sum, 0.0);
+    SCOPED_TRACE(pos);
+    expect_one_fault(FaultKind::kCorrupt, body_, body_.size());
   }
 }
 
-TEST(FrameTest, RejectsTamperedHeaderAndShortFrames) {
-  const std::vector<std::byte> frame = make_frame(257);
-  const std::size_t body = frame.size() - kFrameHeaderBytes;
-  const std::uint64_t sum = read_frame_header(frame).checksum;
-
-  std::vector<std::byte> bad_magic = frame;
-  const std::uint32_t magic = kFrameMagic ^ 1u;
-  std::memcpy(bad_magic.data(), &magic, sizeof magic);
-  EXPECT_FALSE(frame_valid(bad_magic));
-
-  std::vector<std::byte> bad_length = frame;
-  write_frame_header(bad_length, body - 1, sum);
-  EXPECT_FALSE(frame_valid(bad_length));
-  write_frame_header(bad_length, body + 1, sum);
-  EXPECT_FALSE(frame_valid(bad_length));
-
-  // A truncated frame whose header was rewritten to match is still
-  // caught by the checksum.
-  std::vector<std::byte> truncated(frame.begin(), frame.end() - 1);
-  write_frame_header(truncated, body - 1, sum);
-  EXPECT_FALSE(frame_valid(truncated));
-
-  for (std::size_t n = 0; n < kFrameHeaderBytes; ++n) {
-    EXPECT_FALSE(frame_valid(std::span<const std::byte>(frame.data(), n)))
-        << n << "-byte frame";
+TEST_F(NodeTransferTest, CancelledFlipsDoNotShiftTheStream) {
+  // Two flips on a 1-byte body land on the same byte and cancel: the
+  // corrupted first attempt passes its checksum and is accepted, and
+  // the clean retransmit queued behind it must not be taken for the
+  // next transfer. An empty body cannot be flipped at all.
+  plan(FaultKind::kCorrupt, 2);
+  const std::vector<std::byte> second = bytes_of("second");
+  for (const std::size_t size : {1, 0}) {
+    const std::vector<std::byte> first(size, std::byte{0x41});
+    EXPECT_EQ(sender_.send(1, 1, copy(first)), 2);
+    EXPECT_EQ(sender_.send(1, 1, copy(second)), 1);
+    const Delivery a = receiver_.recv(0, 1, 10.0);
+    EXPECT_TRUE(a.faults.empty());
+    EXPECT_EQ(a.payload, first) << size;
+    EXPECT_EQ(receiver_.recv(0, 1, 10.0).payload, second) << size;
+    EXPECT_EQ(fabric_.pending(1), 0u) << size;
+    fabric_.reset();  // the next size's first send is link message 0 again
   }
+}
+
+TEST_F(NodeTransferTest, FanOutCopiesReuseTheLeadersChecksum) {
+  // A payload resent by handle is hashed once: on a very slow modeled
+  // CPU the leader's send is charged the checksum pass, the copy none.
+  Fabric fabric(3, ideal_fabric());  // free sends
+  fabric.set_fault_plan(quiet_plan());
+  NodeContext sender(0, 3, fabric, 1e6);
+  const Payload payload = fabric.pool().copy_of(pattern(1 << 20));
+  sender.send(1, 1, payload);
+  const support::VirtualSeconds after_leader = sender.now();
+  EXPECT_GT(after_leader, 0.0);
+  sender.send(2, 1, payload);
+  EXPECT_EQ(sender.now(), after_leader);
+}
+
+class NodeTransferTransportTest
+    : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(NodeTransferTransportTest, ChecksumCrossesTheProcessBoundary) {
+  // The meta block carries the sender's checksum verbatim, so the
+  // receiver still rejects a corrupted attempt after the bytes crossed
+  // a real process boundary.
+  Fabric fabric(2, myrinet_fabric(), TransportOptions{GetParam()});
+  fabric.set_fault_plan(std::make_shared<FaultPlan>(
+      FaultPlan::parse("fault-plan 1\ncorrupt link=0->1 at=1\n")));
+  const std::vector<std::byte> body = pattern(300);
+  fabric.send_reliable(0, 1, 6, fabric.pool().copy_of(body), 0x1234abcdull,
+                       0.0);
+  EXPECT_EQ(fabric.recv(1, 0, 6, 10.0).checksum, 0x1234abcdull);
+
+  NodeContext sender(0, 2, fabric, 1.0);
+  NodeContext receiver(1, 2, fabric, 1.0);
+  EXPECT_EQ(sender.send(1, 8, fabric.pool().copy_of(body)), 2);
+  const Delivery delivery = receiver.recv(0, 8, 10.0);
+  ASSERT_EQ(delivery.faults.size(), 1u);
+  EXPECT_EQ(delivery.faults[0].kind, FaultKind::kCorrupt);
+  EXPECT_EQ(delivery.payload, body);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, NodeTransferTransportTest,
+                         ::testing::Values(TransportKind::kShmem,
+                                           TransportKind::kTcp),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+TEST(FabricTest, AbortFailsWaitingReceivesUntilReset) {
+  Fabric fabric(2, ideal_fabric());
+  std::thread blocked(
+      [&] { EXPECT_THROW(fabric.recv(1, 0, 1, 30.0), CommError); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const double start = support::wall_seconds();
+  fabric.abort();
+  blocked.join();
+  // A message already queued is still delivered; a receive that would
+  // wait fails at once instead of after its timeout.
+  fabric.send(0, 1, 1, bytes_of("queued"), 0.0);
+  EXPECT_EQ(string_of(fabric.recv(1, 0, 1, 30.0).payload), "queued");
+  EXPECT_THROW(fabric.recv(1, 0, 1, 30.0), CommError);
+  EXPECT_LT(support::wall_seconds() - start, 5.0);
+
+  fabric.reset();
+  fabric.send(0, 1, 1, bytes_of("again"), 0.0);
+  EXPECT_EQ(string_of(fabric.recv(1, 0, 1, 30.0).payload), "again");
 }
 
 }  // namespace

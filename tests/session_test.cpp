@@ -13,7 +13,6 @@
 
 #include "apps/benchmarks.hpp"
 #include "core/project.hpp"
-#include "runtime/engine.hpp"
 #include "runtime/session.hpp"
 #include "support/error.hpp"
 
@@ -61,7 +60,7 @@ TEST_P(WarmColdDeterminismTest, WarmRunsMatchColdRunsExactly) {
   ASSERT_EQ(warm.size(), static_cast<std::size_t>(kRuns));
   EXPECT_EQ(session->runs_completed(), kRuns);
 
-  // Cold path: a fresh session per run (the old Engine::run shape).
+  // Cold path: a fresh session per run.
   core::Project cold_project(make_workspace(param.app));
   for (int r = 0; r < kRuns; ++r) {
     const RunStats cold = cold_project.execute(options_of(param));
@@ -147,25 +146,6 @@ TEST(SessionTest, DataPlaneCountersTrackTraffic) {
   EXPECT_GT(stats.data_plane.pool_blocks, 0u);
 }
 
-TEST(SessionTest, EngineWrapperMatchesSession) {
-  core::Project project(make_workspace("cornerturn"));
-  ExecuteOptions options;
-  options.iterations = 2;
-  options.collect_trace = false;
-
-  auto session = project.open_session(options);
-  const RunStats from_session = session->run();
-
-  const codegen::GeneratedArtifacts& artifacts = project.generate();
-  Engine engine(artifacts.config, project.registry(),
-                session->options());  // resolved options, same platform
-  const RunStats from_engine = engine.run();
-
-  EXPECT_EQ(from_session.results, from_engine.results);
-  EXPECT_EQ(from_session.fabric_messages, from_engine.fabric_messages);
-  EXPECT_EQ(from_session.fabric_bytes, from_engine.fabric_bytes);
-}
-
 TEST(SessionTest, RunOverridesApplyPerRunOnly) {
   core::Project project(make_workspace("cornerturn"));
   ExecuteOptions options;
@@ -246,6 +226,34 @@ TEST(SessionTest, ClosedSessionRefusesToRun) {
   EXPECT_TRUE(session->closed());
   EXPECT_THROW(session->run(), RuntimeError);
   session->close();  // idempotent
+}
+
+TEST(SessionTest, PollOnARedeemedTicketThrowsTheCollectedError) {
+  // Pin the audited poll() semantics: once wait()/drain() redeems a
+  // ticket its completion state is gone, and poll answers the same
+  // typed error as wait -- "unknown or already-collected" -- rather
+  // than false or a stale true.
+  core::Project project(apps::make_cornerturn_workspace(32, 2));
+  runtime::ExecuteOptions options;
+  options.iterations = 1;
+  options.collect_trace = false;
+  auto session = project.open_session(options);
+
+  const runtime::Ticket ticket = session->submit();
+  session->wait(ticket);
+  try {
+    session->poll(ticket);
+    FAIL() << "poll on a redeemed ticket must throw";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("already-collected"),
+              std::string::npos)
+        << e.what();
+  }
+  // Same pin for the drain() redemption path.
+  const runtime::Ticket drained = session->submit();
+  session->drain();
+  EXPECT_THROW(session->poll(drained), RuntimeError);
+  EXPECT_THROW(session->wait(drained), RuntimeError);
 }
 
 }  // namespace

@@ -515,5 +515,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamingSoakTest,
                          ::testing::Values(0xDEADBEEFull, 0x5EEDull,
                                            0xA5A5A5A5ull));
 
+TEST(StreamingTest, DrainWithNothingInFlightIsADocumentedNoOp) {
+  // Regression pin for the serve scheduler's reliance on this: a
+  // drain() with zero in-flight tickets returns empty, throws nothing,
+  // and leaves the session fully usable (including an active epoch).
+  core::Project project(apps::make_cornerturn_workspace(32, 2));
+  runtime::ExecuteOptions options;
+  options.iterations = 1;
+  options.collect_trace = false;
+  auto session = project.open_session(options);
+
+  EXPECT_TRUE(session->drain().empty());  // fresh session, nothing ever ran
+  EXPECT_EQ(session->in_flight(), 0);
+
+  const runtime::RunStats reference = session->run();
+  EXPECT_TRUE(session->drain().empty());  // after a synchronous run
+
+  const runtime::Ticket ticket = session->submit();
+  const std::vector<runtime::RunStats> one = session->drain();
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.front().ticket, ticket.id);
+  EXPECT_TRUE(session->drain().empty());  // immediately after a drain
+  EXPECT_EQ(session->in_flight(), 0);
+
+  // The no-op drain didn't disturb the epoch: streaming resumes and
+  // stays bit-identical.
+  session->submit();
+  const std::vector<runtime::RunStats> more = session->drain();
+  ASSERT_EQ(more.size(), 1u);
+  EXPECT_EQ(more.front().results, reference.results);
+}
+
 }  // namespace
 }  // namespace sage::runtime

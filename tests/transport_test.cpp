@@ -53,6 +53,7 @@ TEST(TransportKindTest, ParcelMetaRoundTrips) {
   parcel.arrival_vt = 1.25e-3;
   parcel.fault = net::FaultKind::kCorrupt;
   parcel.attempt = 2;
+  parcel.checksum = 0x0123456789abcdefull;
   const std::string body = "payload-bytes";
   parcel.payload = pool.copy_of(std::as_bytes(std::span(body)));
 
@@ -69,6 +70,7 @@ TEST(TransportKindTest, ParcelMetaRoundTrips) {
   EXPECT_EQ(out.arrival_vt, parcel.arrival_vt);
   EXPECT_EQ(out.fault, parcel.fault);
   EXPECT_EQ(out.attempt, parcel.attempt);
+  EXPECT_EQ(out.checksum, parcel.checksum);
 }
 
 // --- cross-backend bit-identity matrix --------------------------------------
@@ -188,7 +190,8 @@ TEST(FabricResetContractTest, ResetRestoresJustConstructedState) {
 
   fabric.send(0, 1, 1, bytes_of("dropped"), 0.0);   // at=0: injected drop
   fabric.send(0, 1, 2, bytes_of("clean"), 0.0);
-  fabric.send_reliable(1, 0, 3, bytes_of("ok"), 0.0);
+  fabric.send_reliable(1, 0, 3, fabric.pool().copy_of(bytes_of("ok")), 0,
+                       0.0);
   ASSERT_GT(fabric.total_messages(), 0u);
   ASSERT_EQ(fabric.fault_counters().drops, 1u);
   ASSERT_FALSE(fabric.link_stats().empty());
