@@ -7,7 +7,9 @@
 #   asan  -- AddressSanitizer + LeakSanitizer: the memory-heavy suites
 #            (buffer-pool reuse across warm runs, striping copies, the
 #            node transfer surface's checksummed fault path and the
-#            checksum's unaligned word loads, program blob round-trips). The
+#            checksum's unaligned word loads, program blob round-trips,
+#            the FFT ladder's two-wide vector loads and stores through
+#            computed offsets, and the real FFT's unpack). The
 #            LSan suppressions cover a pre-existing bounded leak: the
 #            Alter interpreter's environment<->closure shared_ptr cycle.
 #            All three flavors also run the Alter bytecode pipeline
@@ -47,10 +49,10 @@ case "$flavor" in
   asan)
     cmake_flag=-DSAGE_ASAN=ON
     targets="net_test session_test streaming_test striping_test fault_test \
-      integration_pipeline_test viz_test metrics_test program_test \
-      random_graph_test serve_test transport_test tuner_test \
+      integration_pipeline_test isspl_test viz_test metrics_test \
+      program_test random_graph_test serve_test transport_test tuner_test \
       alter_test alter_script_test codegen_test codegen_golden_test"
-    filter='(Checksum|NodeTransfer|Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
+    filter='(Checksum|NodeTransfer|Fabric|Session|Streaming|Striping|Redistribution|Fault|Degraded|Pipeline|Fft|Rfft|Metrics|Trace|Analysis|Export|Program|PlanCache|RandomChain|Diamond|Serve|Transport|Shmem|Tuner|Alter|Reader|Eval|Builtin|Emit|Vm|Codegen)'
     ;;
   tsan)
     cmake_flag=-DSAGE_TSAN=ON

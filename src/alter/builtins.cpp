@@ -84,6 +84,20 @@ std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
   return r;
 }
 
+/// `(op x)` for the float-to-int builtins: `rounded` (op applied to x)
+/// as an int64, or an AlterError naming the operator when it is NaN or
+/// outside the int64 range (casting such a double is undefined).
+std::int64_t checked_to_int(const char* op, double x, double rounded) {
+  if (std::isnan(rounded)) {
+    raise<AlterError>("(", op, " ", x, "): not a number");
+  }
+  // [-2^63, 2^63) is exactly the doubles that fit; both bounds are exact.
+  if (rounded < -0x1p63 || rounded >= 0x1p63) {
+    raise<AlterError>("(", op, " ", x, "): integer overflow");
+  }
+  return static_cast<std::int64_t>(rounded);
+}
+
 Value compare_chain(const std::string& name, const ValueList& args,
                     bool (*cmp)(double, double)) {
   expect_min_args(name, args, 2);
@@ -208,11 +222,13 @@ void install_core_builtins(Interpreter& interp, const EnvPtr& env) {
   });
   def(env, "floor", [](Interpreter&, ValueList& args) {
     expect_args("floor", args, 1);
-    return Value(static_cast<std::int64_t>(std::floor(args[0].as_real())));
+    const double x = args[0].as_real();
+    return Value(checked_to_int("floor", x, std::floor(x)));
   });
   def(env, "ceiling", [](Interpreter&, ValueList& args) {
     expect_args("ceiling", args, 1);
-    return Value(static_cast<std::int64_t>(std::ceil(args[0].as_real())));
+    const double x = args[0].as_real();
+    return Value(checked_to_int("ceiling", x, std::ceil(x)));
   });
 
   // --- comparison / logic -------------------------------------------------------

@@ -1,6 +1,8 @@
 #include "isspl/fft.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "isspl/transpose.hpp"
@@ -34,6 +36,87 @@ std::uint32_t reverse_digits_base4(std::uint32_t value, int digits) {
     value >>= 2;
   }
   return result;
+}
+
+// Two complex floats as [re0, im0, re1, im1]: one SSE register on
+// baseline x86-64, written with GCC/Clang vector extensions only.
+using Lanes = float __attribute__((vector_size(16)));
+using LaneBits = std::uint32_t __attribute__((vector_size(16)));
+
+constexpr LaneBits kNegateRe{0x80000000u, 0, 0x80000000u, 0};
+constexpr LaneBits kNegateIm{0, 0x80000000u, 0, 0x80000000u};
+
+/// Loads `kCount` (1 or 2) adjacent complex values; a single one rides
+/// in the low half, the high half is zero. A std::complex<float> is
+/// layout-compatible with float[2] ([complex.numbers]).
+template <std::size_t kCount>
+Lanes load(const Complex* p) {
+  const auto* f = reinterpret_cast<const float*>(p);
+  if constexpr (kCount == 1) {
+    return Lanes{f[0], f[1], 0.0f, 0.0f};
+  } else {
+    Lanes v{};
+    std::memcpy(&v, f, sizeof(v));
+    return v;
+  }
+}
+
+template <std::size_t kCount>
+void store(Complex* p, Lanes v) {
+  auto* f = reinterpret_cast<float*>(p);
+  if constexpr (kCount == 1) {
+    f[0] = v[0];
+    f[1] = v[1];
+  } else {
+    std::memcpy(f, &v, sizeof(v));
+  }
+}
+
+/// Exact sign flip of the lanes set in `mask`.
+Lanes negate(Lanes v, LaneBits mask) {
+  return std::bit_cast<Lanes>(std::bit_cast<LaneBits>(v) ^ mask);
+}
+
+/// (re, im) -> (im, re) in each complex lane.
+Lanes swap_re_im(Lanes v) { return Lanes{v[1], v[0], v[3], v[2]}; }
+
+/// a * w per complex lane as (ar*wr - ai*wi, ai*wr + ar*wi): the
+/// products and sums std::complex<float> forms for finite values, with
+/// the subtraction as an add of the exactly negated product. No FMA, no
+/// reassociation, and no Annex-G inf/NaN recovery.
+Lanes multiply(Lanes a, Lanes w) {
+  const Lanes w_re{w[0], w[0], w[2], w[2]};
+  const Lanes w_im{w[1], w[1], w[3], w[3]};
+  return a * w_re + negate(swap_re_im(a) * w_im, kNegateRe);
+}
+
+/// Radix-4 DIT butterflies on `kCount` adjacent positions j of one group:
+/// legs x[j + k*quarter], k = 0..3, leg k > 0 times W_k[j] (read from
+/// tw[(k-1)*quarter]) unless `kTwiddled` is false (j == 0, where every
+/// twiddle is exactly 1). `rotate` negates the lanes that make
+/// swap_re_im() a multiply by W4 = -+i.
+template <std::size_t kCount, bool kTwiddled>
+void butterflies(Complex* x, std::size_t quarter, const Complex* tw,
+                 LaneBits rotate) {
+  const Lanes y0 = load<kCount>(x);
+  Lanes y1 = load<kCount>(x + quarter);
+  Lanes y2 = load<kCount>(x + 2 * quarter);
+  Lanes y3 = load<kCount>(x + 3 * quarter);
+  if constexpr (kTwiddled) {
+    y1 = multiply(y1, load<kCount>(tw));
+    y2 = multiply(y2, load<kCount>(tw + quarter));
+    y3 = multiply(y3, load<kCount>(tw + 2 * quarter));
+  }
+
+  const Lanes t0 = y0 + y2;
+  const Lanes t1 = y0 - y2;
+  const Lanes t2 = y1 + y3;
+  const Lanes t3 = negate(swap_re_im(y1 - y3), rotate);
+
+  store<kCount>(x, t0 + t2);
+  store<kCount>(x + quarter, t1 + t3);
+  store<kCount>(x + 2 * quarter, t0 - t2);
+  store<kCount>(x + 3 * quarter, t1 - t3);
 }
 
 }  // namespace
@@ -102,13 +185,18 @@ void FftPlan::build_radix4() {
     rev_[i] = reverse_digits_base4(static_cast<std::uint32_t>(i), digits);
   }
 
-  // Per stage (m = 4, 16, ..., n): for each j < m/4, the three factors
-  // w^j, w^(2j), w^(3j) with w = e^(+-2*pi*i/m), stored consecutively.
+  build_radix4_twiddles(4);
+}
+
+void FftPlan::build_radix4_twiddles(std::size_t m0) {
+  // Per stage (m = m0, 4*m0, ..., n), with w = e^(+-2*pi*i/m): the m/4
+  // factors W1[j] = w^j, then W2[j] = w^(2j), then W3[j] = w^(3j), so
+  // two adjacent j load as one vector from each run.
   const double sign = (direction_ == FftDirection::kForward) ? -1.0 : 1.0;
-  for (std::size_t m = 4; m <= n_; m <<= 2) {
+  for (std::size_t m = m0; m <= n_; m <<= 2) {
     const double theta = sign * 2.0 * std::numbers::pi / static_cast<double>(m);
-    for (std::size_t j = 0; j < m / 4; ++j) {
-      for (int power = 1; power <= 3; ++power) {
+    for (std::size_t power = 1; power <= 3; ++power) {
+      for (std::size_t j = 0; j < m / 4; ++j) {
         const double angle = theta * static_cast<double>(j * power);
         twiddles_.emplace_back(static_cast<float>(std::cos(angle)),
                                static_cast<float>(std::sin(angle)));
@@ -158,19 +246,7 @@ void FftPlan::build_mixed42() {
     }
   }
 
-  // Twiddles for the radix-4 stages, same per-stage layout as
-  // build_radix4: for each j < m/4 the powers w^j, w^(2j), w^(3j).
-  const double sign = (direction_ == FftDirection::kForward) ? -1.0 : 1.0;
-  for (std::size_t m = 8; m <= n_; m <<= 2) {
-    const double theta = sign * 2.0 * std::numbers::pi / static_cast<double>(m);
-    for (std::size_t j = 0; j < m / 4; ++j) {
-      for (int power = 1; power <= 3; ++power) {
-        const double angle = theta * static_cast<double>(j * power);
-        twiddles_.emplace_back(static_cast<float>(std::cos(angle)),
-                               static_cast<float>(std::sin(angle)));
-      }
-    }
-  }
+  build_radix4_twiddles(8);
 }
 
 void FftPlan::execute(std::span<Complex> data) const {
@@ -202,7 +278,7 @@ void FftPlan::execute(std::span<const Complex> in,
 
 void FftPlan::run_stages_(Complex* x) const {
   if (algorithm_ == FftAlgorithm::kRadix4) {
-    execute_radix4(x);
+    radix4_stages_(x, 4);
   } else if (algorithm_ == FftAlgorithm::kMixed42) {
     execute_mixed42(x);
   } else {
@@ -275,41 +351,6 @@ void FftPlan::execute_radix2(Complex* x) const {
   }
 }
 
-void FftPlan::execute_radix4(Complex* x) const {
-  // Forward uses W4 = -i (multiply by -i == (im, -re)); inverse uses +i.
-  const bool forward = direction_ == FftDirection::kForward;
-  const auto rotate = [forward](const Complex& v) {
-    return forward ? Complex(v.imag(), -v.real())
-                   : Complex(-v.imag(), v.real());
-  };
-
-  const Complex* stage_tw = twiddles_.data();
-
-  // Stage m == 4: every group uses j == 0, whose three twiddles are all
-  // w^0 == 1 exactly -- a multiply-free radix-4 butterfly pass.
-  if (n_ >= 4) {
-    for (std::size_t base = 0; base < n_; base += 4) {
-      const Complex y0 = x[base];
-      const Complex y1 = x[base + 1];
-      const Complex y2 = x[base + 2];
-      const Complex y3 = x[base + 3];
-
-      const Complex t0 = y0 + y2;
-      const Complex t1 = y0 - y2;
-      const Complex t2 = y1 + y3;
-      const Complex t3 = rotate(y1 - y3);
-
-      x[base] = t0 + t2;
-      x[base + 1] = t1 + t3;
-      x[base + 2] = t0 - t2;
-      x[base + 3] = t1 - t3;
-    }
-    stage_tw += 3;
-  }
-
-  radix4_stages_(x, 16, stage_tw);
-}
-
 void FftPlan::execute_mixed42(Complex* x) const {
   // Radix-2 seed stage on adjacent pairs (w^0 == 1: multiply-free), then
   // the radix-4 ladder from m == 8.
@@ -319,54 +360,26 @@ void FftPlan::execute_mixed42(Complex* x) const {
     x[base] = u + t;
     x[base + 1] = u - t;
   }
-  radix4_stages_(x, 8, twiddles_.data());
+  radix4_stages_(x, 8);
 }
 
-void FftPlan::radix4_stages_(Complex* x, std::size_t m0,
-                             const Complex* stage_tw) const {
-  const bool forward = direction_ == FftDirection::kForward;
-  const auto rotate = [forward](const Complex& v) {
-    return forward ? Complex(v.imag(), -v.real())
-                   : Complex(-v.imag(), v.real());
-  };
-
+void FftPlan::radix4_stages_(Complex* x, std::size_t m0) const {
+  const LaneBits rotate =
+      direction_ == FftDirection::kForward ? kNegateIm : kNegateRe;
+  const Complex* stage_tw = twiddles_.data();
   for (std::size_t m = m0; m <= n_; m <<= 2) {
     const std::size_t quarter = m / 4;
     for (std::size_t base = 0; base < n_; base += m) {
-      // j == 0 peeled: all three twiddles are w^0 == 1 exactly.
-      {
-        const Complex y0 = x[base];
-        const Complex y1 = x[base + quarter];
-        const Complex y2 = x[base + 2 * quarter];
-        const Complex y3 = x[base + 3 * quarter];
-
-        const Complex t0 = y0 + y2;
-        const Complex t1 = y0 - y2;
-        const Complex t2 = y1 + y3;
-        const Complex t3 = rotate(y1 - y3);
-
-        x[base] = t0 + t2;
-        x[base + quarter] = t1 + t3;
-        x[base + 2 * quarter] = t0 - t2;
-        x[base + 3 * quarter] = t1 - t3;
+      Complex* group = x + base;
+      // j == 0 peeled and multiply-free: a (1, 0) twiddle multiply
+      // would turn -0 into +0.
+      butterflies<1, false>(group, quarter, nullptr, rotate);
+      std::size_t j = 1;
+      for (; j + 2 <= quarter; j += 2) {
+        butterflies<2, true>(group + j, quarter, stage_tw + j, rotate);
       }
-      const Complex* tw = stage_tw + 3;
-      for (std::size_t j = 1; j < quarter; ++j) {
-        const Complex y0 = x[base + j];
-        const Complex y1 = tw[0] * x[base + j + quarter];
-        const Complex y2 = tw[1] * x[base + j + 2 * quarter];
-        const Complex y3 = tw[2] * x[base + j + 3 * quarter];
-        tw += 3;
-
-        const Complex t0 = y0 + y2;
-        const Complex t1 = y0 - y2;
-        const Complex t2 = y1 + y3;
-        const Complex t3 = rotate(y1 - y3);
-
-        x[base + j] = t0 + t2;
-        x[base + j + quarter] = t1 + t3;
-        x[base + j + 2 * quarter] = t0 - t2;
-        x[base + j + 3 * quarter] = t1 - t3;
+      if (j < quarter) {
+        butterflies<1, true>(group + j, quarter, stage_tw + j, rotate);
       }
     }
     stage_tw += 3 * quarter;

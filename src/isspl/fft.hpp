@@ -2,9 +2,24 @@
 //
 // Stands in for the CSPI ISSPL vector library the paper's benchmarks
 // linked against: plan-based, single-precision complex, power-of-two
-// radix-2 with precomputed twiddles and bit-reversal table. Both the
-// hand-coded benchmark and the SAGE-generated one call these same leaf
-// kernels, exactly as both versions on the CSPI machine called ISSPL.
+// sizes, with twiddles and the input permutation precomputed per plan.
+// Powers of four run a radix-4 DIT ladder; the other powers of two >= 8
+// run one multiply-free radix-2 seed stage, then the same radix-4
+// ladder. The ladder does two butterflies at a time on GCC/Clang vector
+// types (one SSE register on baseline x86-64, no intrinsics or target
+// flags), with j == 0 of every group peeled multiply-free and an odd
+// last j done on the low half of a vector. kRadix2 is the scalar
+// reference ladder. Both the hand-coded benchmark and the SAGE-generated
+// one call these same leaf kernels, exactly as both versions on the CSPI
+// machine called ISSPL.
+//
+// Bit-identity contract: while every value stays finite the output is
+// bit for bit what the scalar std::complex<float> ladder computes --
+// each twiddle product is (ar*wr - ai*wi, ai*wr + ar*wi), sign flips
+// are exact, and there is no FMA or reassociation. Once an input is
+// inf/NaN (or a sum overflows) it is not: the ladder does no C99
+// Annex-G recovery (std::complex multiply's __mulsc3 fallback), so an
+// infinity can become NaN bins where std::complex would keep it.
 #pragma once
 
 #include <complex>
@@ -60,20 +75,23 @@ class FftPlan {
   void build_radix2();
   void build_radix4();
   void build_mixed42();
+  /// Appends the radix-4 ladder's twiddles for stages m0, 4*m0, ..., n.
+  void build_radix4_twiddles(std::size_t m0);
   void execute_radix2(Complex* x) const;
-  void execute_radix4(Complex* x) const;
   void execute_mixed42(Complex* x) const;
-  /// Radix-4 butterfly ladder from stage size `m0` (doubling by 4) up
-  /// to n; shared by the radix-4 and mixed-radix paths.
-  void radix4_stages_(Complex* x, std::size_t m0,
-                      const Complex* stage_tw) const;
+  /// Radix-4 butterfly ladder from stage size `m0` (growing by 4) up
+  /// to n, two butterflies at a time: the whole radix-4 transform from
+  /// m0 == 4, the mixed-radix one after its radix-2 seed from m0 == 8.
+  void radix4_stages_(Complex* x, std::size_t m0) const;
   /// Butterfly stages + inverse scaling over already-permuted data.
   void run_stages_(Complex* x) const;
 
   std::size_t n_;
   FftDirection direction_;
   FftAlgorithm algorithm_;
-  std::vector<Complex> twiddles_;     // per-stage roots of unity
+  /// Per-stage roots of unity. Radix-2: the m/2 factors of stage m.
+  /// Radix-4 ladder: the runs W1[0..m/4), W2[0..m/4), W3[0..m/4).
+  std::vector<Complex> twiddles_;
   std::vector<std::uint32_t> rev_;    // input permutation (out[i] = in[rev_[i]])
   /// In-place realization of rev_ as a swap sequence. The pure-radix
   /// reversals are involutions (swap when i < rev_[i]); the mixed-radix

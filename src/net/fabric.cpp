@@ -226,16 +226,6 @@ Message Fabric::recv(int dst, int src, int tag, double timeout_wall_s) {
   }
 }
 
-std::optional<Message> Fabric::try_recv(int dst, int src, int tag) {
-  SAGE_CHECK_AS(CommError, dst >= 0 && dst < node_count_, "bad dst rank ", dst);
-  Mailbox& box = boxes_[static_cast<std::size_t>(dst)];
-  std::lock_guard<std::mutex> lock(box.mu);
-  auto it = std::find_if(box.queue.begin(), box.queue.end(),
-                         [&](const Parcel& p) { return match_(p, src, tag); });
-  if (it == box.queue.end()) return std::nullopt;
-  return take_(box, it);
-}
-
 void Fabric::abort() {
   aborted_.store(true, std::memory_order_release);
   // Notify under each mailbox lock: a receiver checks the flag under

@@ -29,7 +29,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -181,10 +180,6 @@ class Fabric {
   /// epoch, so peers waiting for messages the failed node will never
   /// send surface at once instead of after their receive timeout.
   void abort();
-
-  /// Non-blocking variant; returns std::nullopt when no match is queued.
-  std::optional<Message> try_recv(int dst, int src = kAnySource,
-                                  int tag = kAnyTag);
 
   /// Number of messages currently queued for `dst` (diagnostics).
   std::size_t pending(int dst) const;

@@ -438,6 +438,42 @@ TEST(BuiltinTest, IntegerOverflowIsAnErrorNamingTheOperator) {
   EXPECT_EQ(run("(mod " + min + " 1)").as_int(), 0);
 }
 
+TEST(BuiltinTest, FloatToIntOutOfRangeIsAnErrorNamingTheOperator) {
+  // floor/ceiling of NaN or of a value outside int64 used to cast
+  // unchecked (undefined; it printed INT64_MIN). Both evaluators share
+  // the builtins.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"(floor 1e30)", "(floor 1e+30): integer overflow"},
+      {"(ceiling -1e300)", "(ceiling -1e+300): integer overflow"},
+      {"(floor 9223372036854775808.0)",
+       "(floor 9.22337e+18): integer overflow"},
+      {"(ceiling (/ 1.0 0.0))", "(ceiling inf): integer overflow"},
+      {"(floor (/ 0.0 0.0))", "(floor "},
+      {"(ceiling (/ 0.0 0.0))", "(ceiling "}};
+  for (const Interpreter::Mode mode :
+       {Interpreter::Mode::kCompiled, Interpreter::Mode::kTreeWalk}) {
+    for (const auto& [src, prefix] : cases) {
+      try {
+        Interpreter(mode).eval_string(src);
+        ADD_FAILURE() << src << " must fail";
+      } catch (const AlterError& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+        if (src.find("0.0 0.0") != std::string::npos) {
+          EXPECT_NE(what.find("not a number"), std::string::npos) << what;
+        }
+      }
+    }
+  }
+  // The int64 edges themselves still round.
+  EXPECT_EQ(run("(floor -9223372036854775808.0)").as_int(), INT64_MIN);
+  EXPECT_EQ(run("(ceiling -9223372036854775808.5)").as_int(), INT64_MIN);
+  EXPECT_EQ(run("(floor 9223372036854774784.0)").as_int(),
+            9223372036854774784);
+  EXPECT_EQ(run("(floor -2.5)").as_int(), -3);
+  EXPECT_EQ(run("(ceiling -2.5)").as_int(), -2);
+}
+
 TEST(BuiltinTest, ErrorsAndAsserts) {
   EXPECT_THROW(run("(error \"bad \" 42)"), AlterError);
   EXPECT_TRUE(run("(assert #t)").as_bool());

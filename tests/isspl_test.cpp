@@ -2,14 +2,18 @@
 // transpose/pack kernels, vector ops, windows, FIR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numbers>
 #include <numeric>
+#include <string_view>
 
 #include "isspl/fft.hpp"
 #include "isspl/transpose.hpp"
 #include "isspl/vector_ops.hpp"
 #include "support/error.hpp"
+#include "support/fnv1a.hpp"
 #include "support/rng.hpp"
 
 namespace sage::isspl {
@@ -248,6 +252,180 @@ TEST(FftTest, ExecuteRowsMatchesRowwise) {
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_EQ(data[i], expected[i]);
   }
+}
+
+// --- Bit-for-bit pin of every FFT ladder ------------------------------------
+//
+// FNV-1a of the output bytes of 3 rows for every n = 2..8192, direction
+// and algorithm valid for n, recorded from the scalar std::complex ladder
+// the two-wide radix-4 loop replaced. The rows cover the value classes
+// the ladder must carry exactly: row 0 is ordinary values with signed
+// zeros and subnormals mixed in; row 1 adds large magnitudes (~2^100,
+// far from overflow at n <= 8192); row 2 is signed zeros only, so the
+// sign every add, subtract and twiddle product gives a zero reaches the
+// output. The hashes pin x86-64 SSE arithmetic and the platform's double
+// cos/sin (the twiddles).
+
+enum class GoldenKind { kZero, kSubnormal, kLarge, kOrdinary };
+
+constexpr GoldenKind kGoldenMix[3][4] = {
+    {GoldenKind::kZero, GoldenKind::kSubnormal, GoldenKind::kOrdinary,
+     GoldenKind::kOrdinary},
+    {GoldenKind::kZero, GoldenKind::kSubnormal, GoldenKind::kLarge,
+     GoldenKind::kOrdinary},
+    {GoldenKind::kZero, GoldenKind::kZero, GoldenKind::kZero,
+     GoldenKind::kZero},
+};
+
+float golden_value(support::Rng& rng, std::size_t row) {
+  const float sign = (rng() & 1) ? -1.0f : 1.0f;
+  const auto mantissa = static_cast<float>(rng.uniform(1, 2));
+  switch (kGoldenMix[row][rng.below(4)]) {
+    case GoldenKind::kZero:
+      return sign * 0.0f;
+    case GoldenKind::kSubnormal:
+      return sign * std::ldexp(mantissa, -140);
+    case GoldenKind::kLarge:
+      return sign * std::ldexp(mantissa, 100);
+    case GoldenKind::kOrdinary:
+      break;
+  }
+  return sign * mantissa * 0.5f;
+}
+
+std::vector<Complex> golden_rows(std::size_t n, std::size_t rows) {
+  support::Rng rng(n);
+  std::vector<Complex> out(n * rows);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const float re = golden_value(rng, i / n);
+    out[i] = Complex(re, golden_value(rng, i / n));
+  }
+  return out;
+}
+
+std::uint64_t output_hash(std::span<const Complex> x) {
+  return support::fnv1a(std::string_view(
+      reinterpret_cast<const char*>(x.data()), x.size_bytes()));
+}
+
+struct GoldenCase {
+  std::size_t n;
+  FftDirection direction;
+  FftAlgorithm algorithm;
+  std::uint64_t hash;
+};
+
+constexpr auto kFwd = FftDirection::kForward;
+constexpr auto kInv = FftDirection::kInverse;
+constexpr auto kR2 = FftAlgorithm::kRadix2;
+constexpr auto kR4 = FftAlgorithm::kRadix4;
+constexpr auto kM42 = FftAlgorithm::kMixed42;
+
+constexpr GoldenCase kGoldenHashes[] = {
+    {2, kFwd, kR2, 0x8365c73936060f93ull},
+    {2, kInv, kR2, 0xae59af2052cc3caeull},
+    {4, kFwd, kR2, 0xea095e901f2fc971ull},
+    {4, kFwd, kR4, 0xea095e901f2fc971ull},
+    {4, kInv, kR2, 0xed91b587318c3053ull},
+    {4, kInv, kR4, 0xed91b587318c3053ull},
+    {8, kFwd, kR2, 0xdf6942ae981c69adull},
+    {8, kFwd, kM42, 0x9ece69441aa6c395ull},
+    {8, kInv, kR2, 0x40de9b4418c0bf6dull},
+    {8, kInv, kM42, 0x5fe100fbf4055438ull},
+    {16, kFwd, kR2, 0x20043ace3de0692eull},
+    {16, kFwd, kR4, 0x031b7de1628a8411ull},
+    {16, kInv, kR2, 0x71d9f3f512a0672eull},
+    {16, kInv, kR4, 0xe38557ab99c2cb9dull},
+    {32, kFwd, kR2, 0x0e503e4e645b0079ull},
+    {32, kFwd, kM42, 0xe61768d63a352814ull},
+    {32, kInv, kR2, 0xfdb2e767684987feull},
+    {32, kInv, kM42, 0xb2a8f546ddbca5dfull},
+    {64, kFwd, kR2, 0xdf93f6c8f05d016dull},
+    {64, kFwd, kR4, 0x4ddfa63861e79462ull},
+    {64, kInv, kR2, 0x9b7be638b2ca4165ull},
+    {64, kInv, kR4, 0x729b0f6ab6b14136ull},
+    {128, kFwd, kR2, 0xcb869ebc0fa74bdeull},
+    {128, kFwd, kM42, 0xc0de980af7e65f5cull},
+    {128, kInv, kR2, 0x98b0a6c4f0177479ull},
+    {128, kInv, kM42, 0xddd98e7fc3f98ab7ull},
+    {256, kFwd, kR2, 0x22a48441d15a5b14ull},
+    {256, kFwd, kR4, 0xfc6c7e24c785320cull},
+    {256, kInv, kR2, 0xcf405aa2bbf44cbcull},
+    {256, kInv, kR4, 0x8d486ac5bcd53bd8ull},
+    {512, kFwd, kR2, 0xb619632ceeb17dd2ull},
+    {512, kFwd, kM42, 0xba29ed35fd44ef98ull},
+    {512, kInv, kR2, 0xe363082971478b57ull},
+    {512, kInv, kM42, 0xd0256662e7e5bf01ull},
+    {1024, kFwd, kR2, 0x552f0b29342d5b32ull},
+    {1024, kFwd, kR4, 0x42eac63d9776fbe2ull},
+    {1024, kInv, kR2, 0x209e4d3c640a79f0ull},
+    {1024, kInv, kR4, 0x90c74833cf4fa3acull},
+    {2048, kFwd, kR2, 0x1b452d3d15491ae7ull},
+    {2048, kFwd, kM42, 0xdfe5d12fde06b291ull},
+    {2048, kInv, kR2, 0x4f292cf21f5f726eull},
+    {2048, kInv, kM42, 0x38b42152ca92bd04ull},
+    {4096, kFwd, kR2, 0x9627b59f921287d0ull},
+    {4096, kFwd, kR4, 0x613b5674f2d0576eull},
+    {4096, kInv, kR2, 0x15be2ab87044ff70ull},
+    {4096, kInv, kR4, 0xece19ea360a0126eull},
+    {8192, kFwd, kR2, 0x9e19f11926a45af3ull},
+    {8192, kFwd, kM42, 0xbb5a1fd0c3f37348ull},
+    {8192, kInv, kR2, 0x7f938d86493ceeefull},
+    {8192, kInv, kM42, 0x1dc35568256d3d1cull},
+};
+
+const char* golden_name(FftAlgorithm algorithm) {
+  return algorithm == kR2 ? "kR2" : algorithm == kR4 ? "kR4" : "kM42";
+}
+
+bool algorithm_fits(std::size_t n, FftAlgorithm algorithm) {
+  const bool power_of_four = (n & 0x5555555555555555ull) != 0;
+  switch (algorithm) {
+    case FftAlgorithm::kRadix4:
+      return power_of_four;
+    case FftAlgorithm::kMixed42:
+      return n >= 8 && !power_of_four;
+    default:
+      return true;
+  }
+}
+
+TEST(FftGoldenTest, OutputBytesMatchRecordedHashes) {
+  constexpr std::size_t kRows = 3;
+  std::size_t checked = 0;
+  for (std::size_t n = 2; n <= 8192; n *= 2) {
+    const auto input = golden_rows(n, kRows);
+    for (const auto dir : {kFwd, kInv}) {
+      for (const auto algorithm : {kR2, kR4, kM42}) {
+        if (!algorithm_fits(n, algorithm)) continue;
+        const FftPlan plan(n, dir, algorithm);
+        std::vector<Complex> in_place = input;
+        plan.execute_rows(in_place, kRows);
+        std::vector<Complex> out(input.size());
+        plan.execute_rows(std::span<const Complex>(input), out, kRows);
+
+        const std::uint64_t got = output_hash(in_place);
+        const auto* golden = std::find_if(
+            std::begin(kGoldenHashes), std::end(kGoldenHashes),
+            [&](const GoldenCase& c) {
+              return c.n == n && c.direction == dir &&
+                     c.algorithm == algorithm;
+            });
+        ASSERT_NE(golden, std::end(kGoldenHashes))
+            << "no recorded hash for {" << n << ", "
+            << (dir == kFwd ? "kFwd" : "kInv") << ", "
+            << golden_name(algorithm) << ", 0x" << std::hex << got << "ull}";
+        EXPECT_EQ(got, golden->hash)
+            << "n=" << n << " " << golden_name(algorithm) << " "
+            << (dir == kFwd ? "forward" : "inverse") << " in place";
+        EXPECT_EQ(output_hash(out), golden->hash)
+            << "n=" << n << " " << golden_name(algorithm) << " "
+            << (dir == kFwd ? "forward" : "inverse") << " out of place";
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGoldenHashes));
 }
 
 TEST(Fft2dTest, SeparableToneLandsInRightCell) {

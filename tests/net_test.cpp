@@ -106,15 +106,6 @@ TEST(FabricTest, VendorBulkReducesOverhead) {
   EXPECT_LT(bulk, normal);
 }
 
-TEST(FabricTest, TryRecvDoesNotBlock) {
-  Fabric fabric(2, ideal_fabric());
-  EXPECT_FALSE(fabric.try_recv(0).has_value());
-  fabric.send(1, 0, 1, bytes_of("y"), 0.0);
-  auto m = fabric.try_recv(0);
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(string_of(m->payload), "y");
-}
-
 TEST(FabricTest, RecvTimesOutIntoCommError) {
   Fabric fabric(2, ideal_fabric());
   EXPECT_THROW(fabric.recv(0, kAnySource, kAnyTag, /*timeout_wall_s=*/0.05),
