@@ -1,18 +1,14 @@
-// Glue-generation benchmark: what does the bytecode pipeline buy over
-// the tree-walking interpreter, and what does chunk memoization buy on
-// top?
+// Glue-generation benchmark: what does chunk memoization buy over
+// compiling the glue generator program on every call?
 //
-// Three evaluation paths per workspace, each timed over runs+1 fresh
+// Two evaluation paths per workspace, each timed over runs+1 fresh
 // interpreters (first = cold column):
-//   tree    -- the original tree-walking evaluator re-reads and re-walks
-//              the glue generator program every call;
 //   vm      -- read -> compile -> execute per call (a caller-supplied
 //              program's cost under the VM);
 //   vm-memo -- execute a chunk compiled once per process, which is what
 //              codegen::generate_glue does for the builtin generator.
 //
-// The regression gate pins the warm columns: the memoized VM path must
-// stay at least as fast as the tree-walker.
+// The regression gate pins the warm columns.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -70,13 +66,6 @@ int main(int argc, char** argv) {
   for (Config& config : configs) {
     model::ModelObject& root = config.workspace->root();
 
-    const bench::HostCost tree =
-        time_calls(config.app + "-tree", calls, [&] {
-          alter::Interpreter interp(alter::Interpreter::Mode::kTreeWalk);
-          interp.attach_model(root);
-          interp.eval_string(program);
-        });
-
     const bench::HostCost vm = time_calls(config.app + "-vm", calls, [&] {
       alter::Interpreter interp;
       interp.attach_model(root);
@@ -92,10 +81,8 @@ int main(int argc, char** argv) {
           interp.execute(chunk);  // compile amortised across the process
         });
 
-    bench::print_host_cost(tree);
     bench::print_host_cost(vm);
     bench::print_host_cost(memo);
-    report.hosts.push_back(tree);
     report.hosts.push_back(vm);
     report.hosts.push_back(memo);
   }

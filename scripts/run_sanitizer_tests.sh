@@ -10,12 +10,15 @@
 #            checksum's unaligned word loads, program blob round-trips,
 #            the FFT ladder's two-wide vector loads and stores through
 #            computed offsets, and the real FFT's unpack). The
-#            LSan suppressions cover a pre-existing bounded leak: the
-#            Alter interpreter's environment<->closure shared_ptr cycle.
+#            LSan suppressions cover one known leak: a function
+#            (define)d in a local scope and the VM frame holding it
+#            keep each other alive through shared_ptrs, e.g.
+#            (let ((x 1)) (define (f n) (if (< n 1) 0 (f (- n 1)))) (f 3))
+#            -- see scripts/lsan_suppressions.txt.
 #            All three flavors also run the Alter bytecode pipeline
-#            suites (reader/compiler/VM, script differentials, codegen
-#            goldens): the VM manages frame/chunk shared_ptr graphs and
-#            a manually indexed value stack -- exactly what sanitizers
+#            suites (reader/compiler/VM, script and codegen goldens):
+#            the VM manages frame/chunk shared_ptr graphs and a
+#            manually indexed value stack -- exactly what sanitizers
 #            are for.
 #   tsan  -- ThreadSanitizer: the concurrency-heavy suites (emulated
 #            machine dispatch handshake, fabric and its abort wake-up,

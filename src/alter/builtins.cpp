@@ -144,16 +144,14 @@ std::string format_impl(Interpreter&, const ValueList& args) {
   return out;
 }
 
-void def(const EnvPtr& env, const std::string& name,
+void def(Environment& env, const std::string& name,
          std::function<Value(Interpreter&, ValueList&)> fn) {
-  env->define(name, Value::builtin(name, std::move(fn)));
+  env.define(name, Value::builtin(name, std::move(fn)));
 }
 
 }  // namespace
 
-void install_core_builtins(Interpreter& interp, const EnvPtr& env) {
-  (void)interp;
-
+void install_core_builtins(Environment& env) {
   // --- arithmetic ------------------------------------------------------------
   def(env, "+", [](Interpreter&, ValueList& args) {
     return numeric_fold("+", args, 0, checked_add,

@@ -62,8 +62,7 @@ struct Chunk {
   std::vector<std::string> params;
   std::string rest_param;  // empty when no &rest tail
   // Frame slots the arguments land in. Usually param_slots[i] == i, but
-  // duplicate parameter names share a slot (later binding wins, as in
-  // the tree-walker's per-scope map).
+  // duplicate parameter names share a slot (the later binding wins).
   std::vector<int> param_slots;
   int rest_slot = -1;      // slot of the &rest list; -1 when absent
   int slot_count = 0;      // frame size: params + rest + hoisted defines

@@ -9,6 +9,10 @@
 
 namespace sage::alter {
 
+namespace {
+
+/// Splits a lambda parameter list into fixed parameters plus an
+/// optional &rest tail; throws sage::AlterError on malformed lists.
 void parse_params(const ValueList& param_list, std::vector<std::string>& params,
                   std::string& rest_param) {
   bool rest_next = false;
@@ -30,8 +34,6 @@ void parse_params(const ValueList& param_list, std::vector<std::string>& params,
   SAGE_CHECK_AS(AlterError, !rest_next || !rest_param.empty(),
                 "&rest without a parameter name");
 }
-
-namespace {
 
 class Compiler {
  public:
@@ -69,8 +71,7 @@ class Compiler {
   }
 
   /// Declares `name` in the innermost scope (reusing the slot when the
-  /// name is already bound there, matching redefinition in the
-  /// tree-walker's per-scope map).
+  /// name is already bound there, so a redefinition rebinds it).
   int declare_local(const std::string& name) {
     Scope& scope = scopes_.back();
     auto it = scope.slots.find(name);
@@ -341,33 +342,26 @@ class Compiler {
   void compile_cond(const ValueList& form) {
     std::vector<std::size_t> end_jumps;
     bool saw_else = false;
-    for (std::size_t i = 1; i < form.size() && !saw_else; ++i) {
+    for (std::size_t i = 1; i < form.size(); ++i) {
       const ValueList& clause = form[i].as_list();
       SAGE_CHECK_AS(AlterError, !clause.empty(), "empty cond clause");
-      const bool is_else =
-          clause[0].is_symbol() && clause[0].as_symbol().name == "else";
-      if (is_else) {
-        saw_else = true;
-        // A bare (else) clause evaluates the symbol `else` itself,
-        // which (matching the reference evaluator) is an unbound
-        // variable unless the script defined one.
-        if (clause.size() == 1) {
-          compile_expr(clause[0]);
-        } else {
-          compile_body(clause, 1);
-        }
-        end_jumps.push_back(emit(Op::kJump));
+      saw_else = clause[0].is_symbol() && clause[0].as_symbol().name == "else";
+      if (saw_else) {
+        SAGE_CHECK_AS(AlterError, clause.size() > 1,
+                      "cond: (else) clause has no body");
+        compile_body(clause, 1);
         break;
       }
       compile_expr(clause[0]);
-      const std::size_t to_next = emit(Op::kJumpIfFalse);
       if (clause.size() == 1) {
-        // Reference-evaluator quirk: a single-element clause returns
-        // eval(test) -- the test is evaluated a second time.
-        compile_expr(clause[0]);
-      } else {
-        compile_body(clause, 1);
+        // A test-only clause yields the test's value, evaluated once
+        // (the `or` pattern).
+        end_jumps.push_back(emit(Op::kJumpIfTruePeek));
+        emit(Op::kPop);
+        continue;
       }
+      const std::size_t to_next = emit(Op::kJumpIfFalse);
+      compile_body(clause, 1);
       end_jumps.push_back(emit(Op::kJump));
       patch(to_next, here());
     }

@@ -3,8 +3,8 @@
 // Lowers a read program into an executable Chunk in one structured
 // pass per scope:
 //   1. classify -- each list form's head is classified as a special
-//      form or an application (the same fixed set the tree-walking
-//      reference evaluator dispatches on);
+//      form (the fixed set listed in alter/interp.hpp) or an
+//      application;
 //   2. resolve  -- lexical scopes become slot-indexed frames: binding
 //      names (params, let bindings, loop variables, body defines) are
 //      assigned slots up front, and every variable reference is
@@ -15,18 +15,15 @@
 //      pool, and every instruction is tagged with the source line the
 //      reader recorded for error attribution.
 //
-// Semantics match the tree-walking evaluator (alter::Interpreter in
-// tree-walk mode); the differential test matrix in tests/ pins the two
-// against each other. The one documented divergence: variable
-// references resolve lexically at compile time, so a nested lambda
-// cannot see a (define ...) or let* binding introduced *after* it in a
-// scope the way the dynamic environment walk allowed (no shipped
-// script relies on that).
+// Variable references resolve lexically at compile time: a reference
+// names the binding visible where it is written, and a name bound in
+// no enclosing scope is a global looked up when it runs. The language
+// is specified in docs/ALTER.md; tests/alter_test.cpp and the golden
+// files under tests/golden/ pin its behaviour.
 #pragma once
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "alter/chunk.hpp"
 #include "alter/reader.hpp"
@@ -42,11 +39,5 @@ ChunkPtr compile_program(const ValueList& program, const SourceMap* map,
 /// Reads and compiles `source` in one step, threading reader source
 /// positions into the chunk line table.
 ChunkPtr compile_string(std::string_view source, std::string name = "script");
-
-/// Splits a lambda parameter list into fixed parameters plus an
-/// optional &rest tail. Shared by the compiler and the tree-walking
-/// reference evaluator; throws sage::AlterError on malformed lists.
-void parse_params(const ValueList& param_list, std::vector<std::string>& params,
-                  std::string& rest_param);
 
 }  // namespace sage::alter

@@ -1,8 +1,12 @@
-// openSAGE -- Alter lexical environments (chained scopes).
+// openSAGE -- the Alter global environment.
+//
+// The by-name table that builtins and top-level (define ...)s live in.
+// Lexical variables never reach it: the compiler resolves them to frame
+// slots (alter/chunk.hpp), and only names bound in no enclosing scope
+// compile to by-name accesses here.
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -11,52 +15,32 @@
 
 namespace sage::alter {
 
-class Environment : public std::enable_shared_from_this<Environment> {
+class Environment {
  public:
-  static EnvPtr make_root() { return EnvPtr(new Environment(nullptr)); }
-  static EnvPtr make_child(EnvPtr parent) {
-    return EnvPtr(new Environment(std::move(parent)));
-  }
-
-  /// Introduces (or rebinds) a name in this scope.
+  /// Introduces (or rebinds) a global.
   void define(std::string_view name, Value value) {
     bindings_.insert_or_assign(std::string(name), std::move(value));
   }
 
-  /// Rebinds the nearest existing binding; throws when unbound.
+  /// Rebinds an existing global; throws when unbound.
   void set(std::string_view name, Value value) {
-    for (Environment* env = this; env != nullptr; env = env->parent_.get()) {
-      auto it = env->bindings_.find(name);
-      if (it != env->bindings_.end()) {
-        it->second = std::move(value);
-        return;
-      }
+    auto it = bindings_.find(name);
+    if (it == bindings_.end()) {
+      raise<AlterError>("set!: unbound variable '", std::string(name), "'");
     }
-    raise<AlterError>("set!: unbound variable '", std::string(name), "'");
+    it->second = std::move(value);
   }
 
-  /// Looks up the nearest binding; throws when unbound.
+  /// Looks up a global; throws when unbound.
   const Value& lookup(std::string_view name) const {
-    for (const Environment* env = this; env != nullptr;
-         env = env->parent_.get()) {
-      auto it = env->bindings_.find(name);
-      if (it != env->bindings_.end()) return it->second;
+    auto it = bindings_.find(name);
+    if (it == bindings_.end()) {
+      raise<AlterError>("unbound variable '", std::string(name), "'");
     }
-    raise<AlterError>("unbound variable '", std::string(name), "'");
-  }
-
-  bool bound(std::string_view name) const {
-    for (const Environment* env = this; env != nullptr;
-         env = env->parent_.get()) {
-      if (env->bindings_.find(name) != env->bindings_.end()) return true;
-    }
-    return false;
+    return it->second;
   }
 
  private:
-  explicit Environment(EnvPtr parent) : parent_(std::move(parent)) {}
-
-  EnvPtr parent_;
   std::map<std::string, Value, std::less<>> bindings_;
 };
 

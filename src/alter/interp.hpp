@@ -1,6 +1,8 @@
-// openSAGE -- the Alter evaluator.
+// openSAGE -- the Alter interpreter.
 //
-// A tree-walking interpreter with lexical closures. Special forms:
+// Alter source is read, compiled to a bytecode Chunk
+// (alter/compiler.hpp) and run on the stack VM (alter/vm.hpp); that is
+// the only way Alter executes. Special forms:
 //   (quote x) / 'x          (if c a b?)          (cond (c e...)... (else e...))
 //   (define name expr)      (define (f a b) ...) (set! name expr)
 //   (lambda (a b) ...)      (lambda (a &rest r) ...)
@@ -8,16 +10,12 @@
 //   (while cond e...)       (and e...) (or e...) (when c e...) (unless c e...)
 //   (dolist (x list) e...)  (dotimes (i n) e...)
 //
-// The interpreter also owns the emit-stream table the glue-code
-// generator writes source files into: (set-output "file.c") selects the
-// current stream, (emit ...) / (emit-line ...) append to it. A model
-// root can be attached so (model-root) and the traversal builtins work.
-//
-// Since the bytecode pipeline landed, this class is a facade over two
-// execution strategies: eval_string compiles to a Chunk and runs it on
-// the stack VM (the default), while tree-walk mode keeps the original
-// recursive evaluator alive as the reference implementation the
-// differential tests pin the VM against.
+// This class owns what a run needs besides the code: the global
+// environment the builtins are installed in, the emit-stream table the
+// glue-code generator writes source files into ((set-output "file.c")
+// selects the current stream, (emit ...) / (emit-line ...) append to
+// it), the (print ...) log, and an optional model root for
+// (model-root) and the traversal builtins.
 #pragma once
 
 #include <map>
@@ -37,18 +35,10 @@ namespace sage::alter {
 
 class Interpreter {
  public:
-  /// Execution strategy for eval_string: bytecode compilation + stack
-  /// VM (default), or the original tree-walking evaluator (kept as the
-  /// reference implementation for differential testing).
-  enum class Mode { kCompiled, kTreeWalk };
-
   /// Creates an interpreter with all core and model builtins installed.
   Interpreter();
-  explicit Interpreter(Mode mode);
 
-  Mode mode() const { return mode_; }
-
-  EnvPtr global_env() { return global_; }
+  Environment& global_env() { return global_; }
 
   /// Attaches the model the traversal builtins operate on. The object
   /// must outlive the interpreter's use of it.
@@ -56,22 +46,16 @@ class Interpreter {
   model::ModelObject* model_root() const { return model_root_; }
 
   // --- evaluation -----------------------------------------------------------
-  // Tree-walking reference evaluator (always available, regardless of mode).
-  Value eval(const Value& expr, const EnvPtr& env);
-  Value eval_program(const ValueList& program, const EnvPtr& env);
-  /// Reads and evaluates `source` in the global environment; returns the
-  /// last expression's value. Compiles to bytecode and runs on the VM in
-  /// kCompiled mode, tree-walks in kTreeWalk mode.
+  /// Compiles `source` and runs it against the global environment;
+  /// returns the last expression's value.
   Value eval_string(std::string_view source);
 
-  // Bytecode pipeline (reader -> resolver/compiler -> VM).
   /// Compiles `source` to a chunk without executing it.
   ChunkPtr compile(std::string_view source, std::string name = "script") const;
   /// Runs a compiled chunk on the stack VM against the global environment.
   Value execute(const ChunkPtr& chunk);
 
-  /// Calls a callable value (builtin, tree-walk lambda, or compiled
-  /// closure) with arguments.
+  /// Calls a callable value (builtin or compiled closure) with arguments.
   Value apply(const Value& callable, ValueList args);
 
   // --- emit streams -----------------------------------------------------------
@@ -88,11 +72,7 @@ class Interpreter {
   void print(std::string_view text) { print_log_ += text; }
 
  private:
-  Value eval_list(const ValueList& form, const EnvPtr& env);
-  Value eval_body(const ValueList& body, std::size_t start, const EnvPtr& env);
-
-  EnvPtr global_;
-  Mode mode_ = Mode::kCompiled;
+  Environment global_;
   model::ModelObject* model_root_ = nullptr;
   std::map<std::string, std::string> outputs_;
   std::string current_output_ = "default";
@@ -101,10 +81,10 @@ class Interpreter {
 };
 
 /// Installs the arithmetic/list/string builtins (called by the
-/// constructor; exposed for tests that build custom interpreters).
-void install_core_builtins(Interpreter& interp, const EnvPtr& env);
+/// constructor).
+void install_core_builtins(Environment& env);
 
 /// Installs the model-traversal and emit builtins.
-void install_model_builtins(Interpreter& interp, const EnvPtr& env);
+void install_model_builtins(Environment& env);
 
 }  // namespace sage::alter

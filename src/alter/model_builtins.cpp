@@ -60,16 +60,14 @@ Value object_list(const std::vector<model::ModelObject*>& objects) {
   return Value::list(std::move(out));
 }
 
-void def(const EnvPtr& env, const std::string& name,
+void def(Environment& env, const std::string& name,
          std::function<Value(Interpreter&, ValueList&)> fn) {
-  env->define(name, Value::builtin(name, std::move(fn)));
+  env.define(name, Value::builtin(name, std::move(fn)));
 }
 
 }  // namespace
 
-void install_model_builtins(Interpreter& interp, const EnvPtr& env) {
-  (void)interp;
-
+void install_model_builtins(Environment& env) {
   def(env, "model-root", [](Interpreter& in, ValueList& args) {
     expect_args("model-root", args, 0);
     SAGE_CHECK_AS(AlterError, in.model_root() != nullptr,

@@ -59,13 +59,6 @@ const Builtin& Value::as_builtin() const {
   raise<AlterError>("not a builtin: ", to_string());
 }
 
-const Lambda& Value::as_lambda() const {
-  if (const auto* l = std::get_if<std::shared_ptr<const Lambda>>(&storage_)) {
-    return **l;
-  }
-  raise<AlterError>("not a lambda: ", to_string());
-}
-
 const std::shared_ptr<const Closure>& Value::as_closure() const {
   if (const auto* c = std::get_if<std::shared_ptr<const Closure>>(&storage_)) {
     return *c;
@@ -103,7 +96,6 @@ bool Value::equals(const Value& other) const {
     return true;
   }
   if (is_builtin()) return &as_builtin() == &other.as_builtin();
-  if (is_lambda()) return &as_lambda() == &other.as_lambda();
   if (is_closure()) return as_closure().get() == other.as_closure().get();
   return false;
 }
@@ -120,10 +112,6 @@ std::string Value::to_string() const {
   if (is_string()) return "\"" + support::escape(as_string()) + "\"";
   if (is_symbol()) return as_symbol().name;
   if (is_builtin()) return "#<builtin " + as_builtin().name + ">";
-  if (is_lambda()) {
-    const std::string& name = as_lambda().name;
-    return name.empty() ? "#<lambda>" : "#<lambda " + name + ">";
-  }
   if (is_closure()) {
     const std::string& name = as_closure()->chunk->name;
     return name.empty() ? "#<lambda>" : "#<lambda " + name + ">";

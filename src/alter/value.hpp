@@ -3,8 +3,8 @@
 // Alter is the paper's Lisp-like tool-developer language: it traverses
 // the DoME model object graph, reads attributes, and writes out source
 // files. Values are s-expression data (nil, booleans, numbers, strings,
-// symbols, lists), callables (builtins and lambdas), and handles to
-// model objects.
+// symbols, lists), callables (builtins and compiled lambdas), and
+// handles to model objects.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +22,8 @@ namespace sage::alter {
 
 class Value;
 class Interpreter;
-class Environment;
 struct Closure;  // compiled lambda: (chunk, captured frame), see chunk.hpp
 
-using EnvPtr = std::shared_ptr<Environment>;
 using ValueList = std::vector<Value>;
 
 /// A symbol, distinct from a string.
@@ -40,16 +38,6 @@ struct Builtin {
   std::function<Value(Interpreter&, ValueList&)> fn;
 };
 
-/// User-defined function (closure).
-struct Lambda {
-  std::vector<std::string> params;
-  /// Optional trailing &rest parameter capturing extra arguments.
-  std::string rest_param;
-  ValueList body;
-  EnvPtr closure;
-  std::string name;  // for error messages; "" when anonymous
-};
-
 class Value {
  public:
   using Storage =
@@ -61,7 +49,6 @@ class Value {
                    Symbol,                          //
                    std::shared_ptr<ValueList>,      // list
                    std::shared_ptr<const Builtin>,  //
-                   std::shared_ptr<const Lambda>,   //
                    std::shared_ptr<const Closure>,  // compiled lambda
                    model::ModelObject*>;            // model handle
 
@@ -88,11 +75,6 @@ class Value {
         std::make_shared<const Builtin>(Builtin{std::move(name), std::move(fn)});
     return v;
   }
-  static Value lambda(Lambda lam) {
-    Value v;
-    v.storage_ = std::make_shared<const Lambda>(std::move(lam));
-    return v;
-  }
   static Value closure(std::shared_ptr<const Closure> c) {
     Value v;
     v.storage_ = std::move(c);
@@ -113,15 +95,10 @@ class Value {
   bool is_builtin() const {
     return std::holds_alternative<std::shared_ptr<const Builtin>>(storage_);
   }
-  bool is_lambda() const {
-    return std::holds_alternative<std::shared_ptr<const Lambda>>(storage_);
-  }
   bool is_closure() const {
     return std::holds_alternative<std::shared_ptr<const Closure>>(storage_);
   }
-  bool is_callable() const {
-    return is_builtin() || is_lambda() || is_closure();
-  }
+  bool is_callable() const { return is_builtin() || is_closure(); }
   bool is_object() const {
     return std::holds_alternative<model::ModelObject*>(storage_);
   }
@@ -140,7 +117,6 @@ class Value {
   const ValueList& as_list() const;
   ValueList& as_list_mut();
   const Builtin& as_builtin() const;
-  const Lambda& as_lambda() const;
   const std::shared_ptr<const Closure>& as_closure() const;
   model::ModelObject* as_object() const;
 

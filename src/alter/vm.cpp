@@ -58,7 +58,7 @@ Value VM::run() {
               fr.chunk->constants[static_cast<std::size_t>(in.a)]
                   .as_symbol()
                   .name;
-          stack_.push_back(interp_.global_env()->lookup(name));
+          stack_.push_back(interp_.global_env().lookup(name));
           break;
         }
         case Op::kSetGlobal: {
@@ -66,7 +66,7 @@ Value VM::run() {
               fr.chunk->constants[static_cast<std::size_t>(in.a)]
                   .as_symbol()
                   .name;
-          interp_.global_env()->set(name, std::move(stack_.back()));
+          interp_.global_env().set(name, std::move(stack_.back()));
           stack_.pop_back();
           break;
         }
@@ -75,7 +75,7 @@ Value VM::run() {
               fr.chunk->constants[static_cast<std::size_t>(in.a)]
                   .as_symbol()
                   .name;
-          interp_.global_env()->define(name, std::move(stack_.back()));
+          interp_.global_env().define(name, std::move(stack_.back()));
           stack_.pop_back();
           break;
         }
@@ -223,18 +223,6 @@ void VM::do_call(std::int32_t argc) {
     } catch (const Error& e) {
       raise<AlterError>("in builtin '", fn.name, "': ", e.what());
     }
-    return;
-  }
-
-  if (callee.is_lambda()) {
-    // Tree-walker lambdas (reference mode values that leaked into
-    // globals) still apply through the interpreter.
-    ValueList args(std::make_move_iterator(
-                       stack_.begin() +
-                       static_cast<std::ptrdiff_t>(callee_index + 1)),
-                   std::make_move_iterator(stack_.end()));
-    stack_.resize(callee_index);
-    stack_.push_back(interp_.apply(callee, std::move(args)));
     return;
   }
 

@@ -1,7 +1,6 @@
 // Alter language tests: the reader, evaluator semantics (closures,
 // scoping, special forms), core builtins, model-traversal builtins, the
-// emit-stream interface, and the bytecode pipeline (compiler + VM
-// differential against the tree-walking reference evaluator).
+// emit-stream interface, and the bytecode pipeline (compiler + VM).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -177,71 +176,89 @@ TEST(EvalTest, RunawayRecursionCaught) {
 
 // --- bytecode pipeline -----------------------------------------------------------
 
-/// Runs `src` in both execution modes and requires identical results
-/// and identical (print ...) logs.
-void expect_modes_agree(const std::string& src) {
-  Interpreter compiled;  // default mode: bytecode VM
-  Interpreter tree(Interpreter::Mode::kTreeWalk);
-  const Value vm_result = compiled.eval_string(src);
-  const Value tree_result = tree.eval_string(src);
-  EXPECT_EQ(vm_result.to_string(), tree_result.to_string()) << src;
-  EXPECT_EQ(compiled.print_log(), tree.print_log()) << src;
+/// Runs `src` in a fresh interpreter and requires the printed form of
+/// its value and its (print ...) log.
+void expect_eval(const std::string& src, const std::string& value,
+                 const std::string& print_log = "") {
+  Interpreter interp;
+  EXPECT_EQ(interp.eval_string(src).to_string(), value) << src;
+  EXPECT_EQ(interp.print_log(), print_log) << src;
 }
 
-TEST(VmTest, DifferentialSpecialForms) {
-  expect_modes_agree("(if 0 'zero 'other)");
-  expect_modes_agree("(cond (#f 1) (2) (else 3))");  // single-element clause
-  expect_modes_agree("(cond)");
-  expect_modes_agree("(and)");
-  expect_modes_agree("(and 1 nil 3)");
-  expect_modes_agree("(or)");
-  expect_modes_agree("(or nil #f)");  // -> #f, not the last falsy value
-  expect_modes_agree("(or nil 7 (error \"unreached\"))");
-  expect_modes_agree("(begin)");
-  expect_modes_agree("(while #f 1)");
-  expect_modes_agree("(define i 0) (while (< i 3) (set! i (+ i 1)) (* i 10))");
-  expect_modes_agree("(when 1)");
-  expect_modes_agree("(unless nil 1 2)");
-  expect_modes_agree("(quote (a b (c)))");
-  expect_modes_agree("()");
+TEST(VmTest, SpecialForms) {
+  expect_eval("(if 0 'zero 'other)", "zero");
+  expect_eval("(cond (#f 1) (2) (else 3))", "2");  // test-only clause
+  expect_eval("(cond)", "nil");
+  expect_eval("(and)", "#t");
+  expect_eval("(and 1 nil 3)", "nil");
+  expect_eval("(or nil 7 (error \"unreached\"))", "7");
+  expect_eval("(begin)", "nil");
+  expect_eval("(while #f 1)", "nil");
+  expect_eval("(define i 0) (while (< i 3) (set! i (+ i 1)) (* i 10))", "30");
+  expect_eval("(when 1)", "nil");
+  expect_eval("(unless nil 1 2)", "2");
+  expect_eval("(quote (a b (c)))", "(a b (c))");
+  expect_eval("()", "()");
 }
 
-TEST(VmTest, DifferentialScoping) {
-  expect_modes_agree("(define a 100) (let ((a 1) (b a)) (list a b))");
-  expect_modes_agree("(let* ((a 1) (b (+ a 1))) (list a b))");
-  expect_modes_agree("(let ((x 1)) (define y 2) (+ x y))");
-  expect_modes_agree("(let ((a 1) (a 2)) a)");  // duplicate binding: last wins
-  expect_modes_agree(
-      "(define (f) (define x 1) (define (g) x) (set! x 2) (g)) (f)");
-  expect_modes_agree(
-      "(define x 'outer) (dolist (x (list 1 2)) x) x");  // loop var is scoped
-  expect_modes_agree("(dotimes (i 4) (* i i))");
-  expect_modes_agree("(dolist (x (list)) (error \"unreached\")) 'done");
-  expect_modes_agree("(define acc (list))"
-                     "(dotimes (i 3) (set! acc (cons i acc))) acc");
+TEST(VmTest, CondEvaluatesEachTestOnceAndOrDefaultsToFalse) {
+  // A test-only clause returns its test's value without running it again.
+  expect_eval("(cond ((begin (print \"x\") 1)))", "1", "x\n");
+  expect_eval("(cond (#f 1) ((begin (print \"y\") nil)) (else 3))", "3",
+              "y\n");
+  // A bare (else) has nothing to return: rejected before anything runs.
+  Interpreter interp;
+  try {
+    interp.eval_string("(print \"ran\") (cond (#f 1) (else))");
+    FAIL() << "expected a compile error";
+  } catch (const AlterError& e) {
+    EXPECT_NE(std::string(e.what()).find("cond: (else) clause has no body"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(interp.print_log(), "");
+  // An or with no truthy operand is #f, not its last falsy value.
+  expect_eval("(or)", "#f");
+  expect_eval("(or nil)", "#f");
+  expect_eval("(or nil #f)", "#f");
 }
 
-TEST(VmTest, DifferentialFunctions) {
-  expect_modes_agree("(define (fact n) (if (< n 2) 1 (* n (fact (- n 1)))))"
-                     "(fact 10)");
-  expect_modes_agree("(map (lambda (x) (* x x)) (list 1 2 3))");
-  expect_modes_agree("(reduce + 0 (range 10))");
-  expect_modes_agree("(define (f a &rest r) (list a r)) (f 1 2 3)");
-  expect_modes_agree("(define (f a &rest r) (list a r)) (f 1)");
-  expect_modes_agree("(apply + (list 1 2 3))");
-  expect_modes_agree("(print \"side\" 1) (print \"effects\")");
+TEST(VmTest, Scoping) {
+  expect_eval("(define a 100) (let ((a 1) (b a)) (list a b))", "(1 100)");
+  expect_eval("(let* ((a 1) (b (+ a 1))) (list a b))", "(1 2)");
+  expect_eval("(let ((x 1)) (define y 2) (+ x y))", "3");
+  expect_eval("(let ((a 1) (a 2)) a)", "2");  // duplicate binding: last wins
+  expect_eval("(define (f) (define x 1) (define (g) x) (set! x 2) (g)) (f)",
+              "2");
+  expect_eval("(define x 'outer) (dolist (x (list 1 2)) x) x",
+              "outer");  // loop var is scoped
+  expect_eval("(dotimes (i 4) (* i i))", "9");
+  expect_eval("(dolist (x (list)) (error \"unreached\")) 'done", "done");
+  expect_eval("(define acc (list))"
+              "(dotimes (i 3) (set! acc (cons i acc))) acc",
+              "(2 1 0)");
+}
+
+TEST(VmTest, Functions) {
+  expect_eval("(define (fact n) (if (< n 2) 1 (* n (fact (- n 1)))))"
+              "(fact 10)",
+              "3628800");
+  expect_eval("(map (lambda (x) (* x x)) (list 1 2 3))", "(1 4 9)");
+  expect_eval("(reduce + 0 (range 10))", "45");
+  expect_eval("(define (f a &rest r) (list a r)) (f 1 2 3)", "(1 (2 3))");
+  expect_eval("(define (f a &rest r) (list a r)) (f 1)", "(1 ())");
+  expect_eval("(apply + (list 1 2 3))", "6");
+  expect_eval("(print \"side\" 1) (print \"effects\")", "nil",
+              "side 1\neffects\n");
 }
 
 TEST(VmTest, ClosuresOverLoopScopeShareTheFinalValue) {
-  // dolist creates ONE child scope reused across iterations, so every
-  // closure made in the body sees the final loop value -- in both modes.
-  const std::string src =
-      "(define fns (list))"
-      "(dolist (i (list 1 2 3)) (set! fns (cons (lambda () i) fns)))"
-      "(map (lambda (f) (f)) fns)";
-  expect_modes_agree(src);
-  Interpreter interp;
-  EXPECT_EQ(run(interp, src).to_string(), "(3 3 3)");
+  // dolist creates ONE frame reused across iterations, so every closure
+  // made in the body sees the final loop value.
+  expect_eval("(define fns (list))"
+              "(dolist (i (list 1 2 3)) (set! fns (cons (lambda () i) fns)))"
+              "(map (lambda (f) (f)) fns)",
+              "(3 3 3)");
 }
 
 TEST(VmTest, SetThroughCapturedFrames) {
@@ -273,8 +290,8 @@ TEST(VmTest, RestArityChecked) {
 }
 
 TEST(VmTest, DeepRecursionUsesVmFramesNotNativeStack) {
-  // 10k-deep non-tail recursion would overflow the C++ stack under the
-  // tree-walker; the VM's explicit call-frame stack handles it.
+  // 10k-deep non-tail recursion would overflow the C++ stack under a
+  // recursive evaluator; the VM's explicit call-frame stack handles it.
   Interpreter interp;
   run(interp, "(define (sum n acc) (if (= n 0) acc (sum (- n 1) (+ acc n))))");
   EXPECT_EQ(run(interp, "(sum 10000 0)").as_int(), 50005000);
@@ -327,14 +344,6 @@ TEST(VmTest, ChunksAreReusableAcrossInterpreters) {
   Interpreter b;
   EXPECT_EQ(a.execute(chunk).as_int(), 42);
   EXPECT_EQ(b.execute(chunk).as_int(), 42);
-}
-
-TEST(VmTest, TreeWalkModeStillAvailable) {
-  Interpreter tree(Interpreter::Mode::kTreeWalk);
-  EXPECT_EQ(tree.mode(), Interpreter::Mode::kTreeWalk);
-  EXPECT_EQ(tree.eval_string("(+ 1 2)").as_int(), 3);
-  Interpreter compiled;
-  EXPECT_EQ(compiled.mode(), Interpreter::Mode::kCompiled);
 }
 
 // --- core builtins ---------------------------------------------------------------
@@ -408,8 +417,8 @@ TEST(BuiltinTest, Format) {
 }
 
 TEST(BuiltinTest, IntegerOverflowIsAnErrorNamingTheOperator) {
-  // int64 arithmetic is checked in both evaluators (they share the
-  // builtins): no wrap-around, and no SIGFPE from INT64_MIN / -1.
+  // int64 arithmetic is checked: no wrap-around, and no SIGFPE from
+  // INT64_MIN / -1.
   const std::string max = "9223372036854775807";
   const std::string min = "(- 0 " + max + " 1)";
   const std::vector<std::pair<std::string, std::string>> cases = {
@@ -417,18 +426,15 @@ TEST(BuiltinTest, IntegerOverflowIsAnErrorNamingTheOperator) {
       {"(- " + min + " 1)", "(- "},     {"(- " + min + ")", "(- "},
       {"(abs " + min + ")", "(abs "},   {"(/ " + min + " -1)", "(/ "},
       {"(mod " + min + " -1)", "(mod "}};
-  for (const Interpreter::Mode mode :
-       {Interpreter::Mode::kCompiled, Interpreter::Mode::kTreeWalk}) {
-    for (const auto& [src, op] : cases) {
-      try {
-        Interpreter(mode).eval_string(src);
-        ADD_FAILURE() << src << " must overflow";
-      } catch (const AlterError& e) {
-        EXPECT_EQ(std::string(e.what()).rfind(op, 0), 0u) << e.what();
-        EXPECT_NE(std::string(e.what()).find("integer overflow"),
-                  std::string::npos)
-            << e.what();
-      }
+  for (const auto& [src, op] : cases) {
+    try {
+      run(src);
+      ADD_FAILURE() << src << " must overflow";
+    } catch (const AlterError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(op, 0), 0u) << e.what();
+      EXPECT_NE(std::string(e.what()).find("integer overflow"),
+                std::string::npos)
+          << e.what();
     }
   }
   // The edges themselves still compute.
@@ -440,8 +446,7 @@ TEST(BuiltinTest, IntegerOverflowIsAnErrorNamingTheOperator) {
 
 TEST(BuiltinTest, FloatToIntOutOfRangeIsAnErrorNamingTheOperator) {
   // floor/ceiling of NaN or of a value outside int64 used to cast
-  // unchecked (undefined; it printed INT64_MIN). Both evaluators share
-  // the builtins.
+  // unchecked (undefined; it printed INT64_MIN).
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"(floor 1e30)", "(floor 1e+30): integer overflow"},
       {"(ceiling -1e300)", "(ceiling -1e+300): integer overflow"},
@@ -450,18 +455,15 @@ TEST(BuiltinTest, FloatToIntOutOfRangeIsAnErrorNamingTheOperator) {
       {"(ceiling (/ 1.0 0.0))", "(ceiling inf): integer overflow"},
       {"(floor (/ 0.0 0.0))", "(floor "},
       {"(ceiling (/ 0.0 0.0))", "(ceiling "}};
-  for (const Interpreter::Mode mode :
-       {Interpreter::Mode::kCompiled, Interpreter::Mode::kTreeWalk}) {
-    for (const auto& [src, prefix] : cases) {
-      try {
-        Interpreter(mode).eval_string(src);
-        ADD_FAILURE() << src << " must fail";
-      } catch (const AlterError& e) {
-        const std::string what = e.what();
-        EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
-        if (src.find("0.0 0.0") != std::string::npos) {
-          EXPECT_NE(what.find("not a number"), std::string::npos) << what;
-        }
+  for (const auto& [src, prefix] : cases) {
+    try {
+      run(src);
+      ADD_FAILURE() << src << " must fail";
+    } catch (const AlterError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+      if (src.find("0.0 0.0") != std::string::npos) {
+        EXPECT_NE(what.find("not a number"), std::string::npos) << what;
       }
     }
   }

@@ -1,35 +1,28 @@
 // Golden-file tests pinning the Alter glue-code generator's output --
 // the function table and logical buffer definitions (glue.cfg and the
 // illustrative glue.c) -- for the quickstart and radar example
-// pipelines. Any intentional change to the generator's emission must be
-// reviewed by regenerating the goldens:
+// pipelines and the 64x64 Table-1 benchmark designs (2D FFT on four
+// nodes, corner turn on two). Any intentional change to the generator's
+// emission must be reviewed by regenerating the goldens:
 //
 //   SAGE_UPDATE_GOLDEN=1 ./build/tests/codegen_golden_test
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "alter/interp.hpp"
 #include "apps/benchmarks.hpp"
 #include "codegen/generator.hpp"
-#include "codegen/generator_program.hpp"
+#include "golden_file.hpp"
 #include "model/app.hpp"
 #include "model/hardware.hpp"
 #include "model/mapping.hpp"
-#include "support/error.hpp"
-
-#ifndef SAGE_GOLDEN_DIR
-#error "SAGE_GOLDEN_DIR must be defined by the build"
-#endif
 
 namespace sage {
 namespace {
 
+using golden::expect_matches_golden;
 using model::ModelObject;
 
 /// The quickstart example's design: src -> row FFT -> sink on a 256x256
@@ -149,60 +142,6 @@ std::unique_ptr<model::Workspace> make_radar_workspace() {
   return workspace;
 }
 
-std::string golden_path(const std::string& name) {
-  return std::string(SAGE_GOLDEN_DIR) + "/" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SAGE_CHECK(in.good(), "cannot read golden file ", path,
-             " (set SAGE_UPDATE_GOLDEN=1 to (re)generate)");
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-bool update_goldens() {
-  const char* env = std::getenv("SAGE_UPDATE_GOLDEN");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
-
-/// Compares `actual` against the committed golden, or rewrites the
-/// golden when SAGE_UPDATE_GOLDEN is set. Diffs are reported line by
-/// line so a generator change is reviewable from the test log.
-void expect_matches_golden(const std::string& actual,
-                           const std::string& name) {
-  const std::string path = golden_path(name);
-  if (update_goldens()) {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    GTEST_LOG_(INFO) << "updated golden " << path;
-    return;
-  }
-  const std::string expected = read_file(path);
-  if (actual == expected) return;
-
-  std::istringstream actual_lines(actual);
-  std::istringstream expected_lines(expected);
-  std::string a;
-  std::string e;
-  int line = 0;
-  while (true) {
-    const bool have_a = static_cast<bool>(std::getline(actual_lines, a));
-    const bool have_e = static_cast<bool>(std::getline(expected_lines, e));
-    ++line;
-    if (!have_a && !have_e) break;
-    if (!have_a || !have_e || a != e) {
-      ADD_FAILURE() << name << " diverges from golden at line " << line
-                    << "\n  golden: " << (have_e ? e : "<end of file>")
-                    << "\n  actual: " << (have_a ? a : "<end of file>");
-      return;
-    }
-  }
-  ADD_FAILURE() << name << " differs from golden (whitespace-only change?)";
-}
-
 TEST(CodegenGoldenTest, QuickstartGlueConfig) {
   auto ws = make_quickstart_workspace();
   const codegen::GeneratedArtifacts artifacts = codegen::generate_glue(*ws);
@@ -227,37 +166,23 @@ TEST(CodegenGoldenTest, RadarGlueSource) {
   expect_matches_golden(artifacts.glue_source_text(), "radar_glue.c");
 }
 
-// Differential matrix: every golden design's glue generation must emit
-// byte-identical streams from the bytecode VM (the generate_glue path)
-// and from the tree-walking reference evaluator. This is the contract
-// that let the VM replace the tree-walker without regolding anything.
-TEST(CodegenGoldenTest, VmAndTreeWalkEmitIdenticalStreams) {
-  struct Case {
-    const char* name;
-    std::unique_ptr<model::Workspace> workspace;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"quickstart", make_quickstart_workspace()});
-  cases.push_back({"radar", make_radar_workspace()});
-  cases.push_back({"fft2d", apps::make_fft2d_workspace(64, 4)});
-  cases.push_back({"cornerturn", apps::make_cornerturn_workspace(64, 2)});
+/// Pins both emitted files of one design: `<stem>_glue.cfg` and
+/// `<stem>_glue.c`.
+void expect_glue_matches_golden(model::Workspace& workspace,
+                                const std::string& stem) {
+  const codegen::GeneratedArtifacts artifacts =
+      codegen::generate_glue(workspace);
+  expect_matches_golden(artifacts.glue_config_text(), stem + "_glue.cfg");
+  expect_matches_golden(artifacts.glue_source_text(), stem + "_glue.c");
+}
 
-  for (Case& c : cases) {
-    // VM path (the production pipeline, memoized chunk).
-    const codegen::GeneratedArtifacts artifacts =
-        codegen::generate_glue(*c.workspace);
+TEST(CodegenGoldenTest, Fft2dGlue) {
+  expect_glue_matches_golden(*apps::make_fft2d_workspace(64, 4), "fft2d_64x4");
+}
 
-    // Reference path: the original tree-walking evaluator.
-    alter::Interpreter tree(alter::Interpreter::Mode::kTreeWalk);
-    tree.attach_model(c.workspace->root());
-    tree.eval_string(codegen::glue_generator_source());
-
-    ASSERT_EQ(artifacts.outputs.size(), tree.outputs().size()) << c.name;
-    for (const auto& [stream, text] : artifacts.outputs) {
-      ASSERT_TRUE(tree.outputs().contains(stream)) << c.name << "/" << stream;
-      EXPECT_EQ(text, tree.outputs().at(stream)) << c.name << "/" << stream;
-    }
-  }
+TEST(CodegenGoldenTest, CornerturnGlue) {
+  expect_glue_matches_golden(*apps::make_cornerturn_workspace(64, 2),
+                             "cornerturn_64x2");
 }
 
 TEST(CodegenGoldenTest, GenerationIsDeterministic) {

@@ -1,0 +1,24 @@
+/* Generated by the SAGE glue-code generator. Do not edit. */
+#include "sage_runtime.h"
+
+/* Function table: the runtime executes functions by the index
+   of this descriptor into the table. */
+const sage_function_descriptor_t sage_function_table[] = {
+  { .id = 0, .name = "src", .entry = &matrix_source, .threads = 4 },
+  { .id = 1, .name = "fft_rows", .entry = &isspl.fft_rows, .threads = 4 },
+  { .id = 2, .name = "corner_turn", .entry = &isspl.corner_turn_local, .threads = 4 },
+  { .id = 3, .name = "fft_cols", .entry = &isspl.fft_rows, .threads = 4 },
+  { .id = 4, .name = "sink", .entry = &matrix_sink, .threads = 4 },
+};
+
+/* Logical buffers: striding information, total size, thread
+   counts; the runtime creates the physical buffers. */
+const sage_logical_buffer_t sage_logical_buffers[] = {
+  { .id = 0, .src = 0, .dst = 1, .elem_bytes = 8, .src_striping = SAGE_STRIPED, .dst_striping = SAGE_STRIPED },
+  { .id = 1, .src = 1, .dst = 2, .elem_bytes = 8, .src_striping = SAGE_STRIPED, .dst_striping = SAGE_STRIPED },
+  { .id = 2, .src = 2, .dst = 3, .elem_bytes = 8, .src_striping = SAGE_STRIPED, .dst_striping = SAGE_STRIPED },
+  { .id = 3, .src = 3, .dst = 4, .elem_bytes = 8, .src_striping = SAGE_STRIPED, .dst_striping = SAGE_STRIPED },
+};
+
+const int sage_function_count = 5;
+const int sage_buffer_count = 4;
