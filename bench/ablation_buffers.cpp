@@ -53,7 +53,7 @@ int main() {
 
   for (int nodes : env.nodes) {
     for (std::size_t size : env.sizes) {
-      if (size % static_cast<std::size_t>(nodes) != 0) continue;
+      if (!bench::splits_evenly(size, nodes)) continue;
 
       apps::HandcodedOptions hand_options;
       hand_options.iterations = env.iterations;

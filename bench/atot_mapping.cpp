@@ -8,30 +8,22 @@
 // heterogeneous synthetic design, reporting the cost-model objective and
 // the list-scheduler latency estimate for each.
 //
-// `--json <file>` writes the objectives as gated "host" labels
-// ("atot/<problem>/<mapper>", warm_seconds = cost-model objective,
-// cold_seconds = list-scheduler latency): the mappers are deterministic,
-// so check_bench_regression.py turns the baseline into a mapping-quality
-// gate -- a GA or cost-model change that worsens any objective by more
-// than the threshold fails CI.
+// The mappers are deterministic: MapperTest.QualityPinnedOnBenchProblems
+// (tests/atot_test.cpp) pins each objective and latency printed here,
+// and the genetic mapper's result, exactly.
 #include <cstdio>
-#include <string>
 
 #include "apps/benchmarks.hpp"
+#include "apps/pipelines.hpp"
 #include "atot/mapper.hpp"
 #include "atot/scheduler.hpp"
-#include "bench_util.hpp"
-#include "model/app.hpp"
-#include "model/hardware.hpp"
-#include "model/mapping.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using namespace sage;
 
-void report(const char* label, const atot::MappingProblem& problem,
-            bench::JsonReport& json) {
+void report(const char* label, const atot::MappingProblem& problem) {
   const atot::Assignment random =
       atot::random_mapping(problem, support::Rng::kDefaultSeed);
   const atot::Assignment round_robin = atot::round_robin_mapping(problem);
@@ -48,12 +40,6 @@ void report(const char* label, const atot::MappingProblem& problem,
     std::printf("csv,atot,%s,%s,%.8f,%.8f,%.8f,%.8f\n", label, name,
                 cost.objective, cost.max_load, cost.total_comm,
                 sched.latency);
-    bench::HostCost quality;
-    quality.label = std::string("atot/") + label + "/" + name;
-    quality.cold_seconds = sched.latency;
-    quality.warm_seconds = cost.objective;
-    quality.warm_runs = 1;
-    json.hosts.push_back(quality);
   };
 
   std::printf("%s (%d tasks on %d processors)\n", label, problem.task_count(),
@@ -65,62 +51,17 @@ void report(const char* label, const atot::MappingProblem& problem,
   std::printf("  genetic ran %d generations\n\n", ga.generations_run);
 }
 
-/// A deliberately lumpy synthetic design: mixed work sizes and a
-/// heterogeneous machine (two fast processors, six slow).
-atot::MappingProblem synthetic_problem() {
-  model::Workspace ws("synthetic");
-  model::ModelObject& root = ws.root();
-  model::ModelObject& hw = model::add_hardware(root, "hetero");
-  model::ModelObject& board = model::add_board(hw, "carrier");
-  for (int p = 0; p < 2; ++p) {
-    model::add_processor(board, "fast_" + std::to_string(p), 400.0,
-                         std::int64_t{64} << 20, 0.5);
-  }
-  model::ModelObject& board2 = model::add_board(hw, "carrier2");
-  for (int p = 0; p < 6; ++p) {
-    model::add_processor(board2, "slow_" + std::to_string(p), 100.0,
-                         std::int64_t{64} << 20, 2.0);
-  }
-
-  model::ModelObject& app = model::add_application(root, "synthetic_chain");
-  const std::vector<std::size_t> dims{256, 256};
-  support::Rng rng(7);
-  model::ModelObject* prev = nullptr;
-  for (int i = 0; i < 10; ++i) {
-    const double work = 1e6 * (1.0 + static_cast<double>(rng.below(20)));
-    model::ModelObject& fn = model::add_function(
-        app, "stage_" + std::to_string(i), "identity", 2, work);
-    model::add_port(fn, "in", model::PortDirection::kIn,
-                    model::Striping::kStriped, "cfloat", dims, 0);
-    model::add_port(fn, "out", model::PortDirection::kOut,
-                    model::Striping::kStriped, "cfloat", dims, 0);
-    if (prev != nullptr) {
-      model::connect(app, prev->name() + ".out", fn.name() + ".in");
-    }
-    prev = &fn;
-  }
-  return atot::build_problem(ws);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::printf("AToT mapping quality: GA vs baselines\n");
   std::printf("(objective = load + comm + 0.5*imbalance, cost-model seconds)\n\n");
 
-  bench::JsonReport json;
-  json.bench = "atot_mapping";
-  json.runs = 1;        // the mappers are deterministic
-  json.iterations = 1;  // objectives, not host timings
-
   report("fft2d-1024-8n",
-         atot::build_problem(*apps::make_fft2d_workspace(1024, 8)), json);
+         atot::build_problem(*apps::make_fft2d_workspace(1024, 8)));
   report("cornerturn-512-4n",
-         atot::build_problem(*apps::make_cornerturn_workspace(512, 4)), json);
-  report("synthetic-hetero", synthetic_problem(), json);
-
-  if (const char* path = bench::json_path(argc, argv)) {
-    if (!bench::write_json(json, path)) return 2;
-  }
+         atot::build_problem(*apps::make_cornerturn_workspace(512, 4)));
+  report("synthetic-hetero",
+         atot::build_problem(*apps::make_synthetic_hetero_workspace()));
   return 0;
 }

@@ -38,7 +38,7 @@ int main() {
 
   for (int nodes : env.nodes) {
     for (std::size_t size : env.sizes) {
-      if (size % static_cast<std::size_t>(nodes) != 0) continue;
+      if (!bench::splits_evenly(size, nodes)) continue;
 
       core::Project canonical(apps::make_fft2d_workspace(size, nodes));
       const double canonical_ms = mean_latency(canonical, env.iterations);

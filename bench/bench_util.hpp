@@ -2,17 +2,23 @@
 //
 // Every binary prints (a) a human-readable table in the layout of the
 // paper's Table 1.0 and (b) machine-readable CSV lines prefixed "csv,".
+// They are print-only exploration tools; perfbench/ is the repository's
+// benchmark, with medians, spreads and environment stamps.
 // Environment knobs keep default runtimes short while allowing full
 // paper-scale runs:
 //   SAGE_BENCH_RUNS   -- measurement repetitions   (paper: 10, default 2)
 //   SAGE_BENCH_ITERS  -- iterations per repetition (paper: 100, default 3)
-//   SAGE_BENCH_SIZES  -- comma list of matrix sizes (default 256,512,1024)
+//   SAGE_BENCH_SIZES  -- comma list of matrix sizes, powers of two
+//                        (default 256,512,1024)
 //   SAGE_BENCH_NODES  -- comma list of node counts  (default 4,8)
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "support/strings.hpp"
@@ -26,27 +32,59 @@ struct BenchEnv {
   std::vector<int> nodes{4, 8};
 };
 
+/// One comma-separated item of the knob `var`: an integer >= 1 (and a
+/// power of two >= 2 when `power_of_two`). Anything else ends the
+/// process with exit status 1 and a message naming the variable, before
+/// a bad value can reach a division by the node count or an empty sweep.
+inline int env_item(const char* var, std::string_view item,
+                    bool power_of_two = false) {
+  int value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(item.data(), item.data() + item.size(), value);
+  const bool ok = ec == std::errc{} && ptr == item.data() + item.size() &&
+                  value >= 1 &&
+                  (!power_of_two || (value >= 2 && (value & (value - 1)) == 0));
+  if (!ok) {
+    std::fprintf(stderr, "bench: %s: '%.*s' is not %s\n", var,
+                 static_cast<int>(item.size()), item.data(),
+                 power_of_two ? "a power of two >= 2" : "an integer >= 1");
+    std::exit(1);
+  }
+  return value;
+}
+
 inline BenchEnv bench_env() {
   BenchEnv env;
   if (const char* v = std::getenv("SAGE_BENCH_RUNS")) {
-    env.runs = std::max(1, static_cast<int>(support::parse_int(v)));
+    env.runs = env_item("SAGE_BENCH_RUNS", v);
   }
   if (const char* v = std::getenv("SAGE_BENCH_ITERS")) {
-    env.iterations = std::max(1, static_cast<int>(support::parse_int(v)));
+    env.iterations = env_item("SAGE_BENCH_ITERS", v);
   }
   if (const char* v = std::getenv("SAGE_BENCH_SIZES")) {
     env.sizes.clear();
     for (const auto& part : support::split(v, ',')) {
-      env.sizes.push_back(static_cast<std::size_t>(support::parse_int(part)));
+      env.sizes.push_back(static_cast<std::size_t>(
+          env_item("SAGE_BENCH_SIZES", part, /*power_of_two=*/true)));
     }
   }
   if (const char* v = std::getenv("SAGE_BENCH_NODES")) {
     env.nodes.clear();
     for (const auto& part : support::split(v, ',')) {
-      env.nodes.push_back(static_cast<int>(support::parse_int(part)));
+      env.nodes.push_back(env_item("SAGE_BENCH_NODES", part));
     }
   }
   return env;
+}
+
+/// True when an n x n matrix splits evenly over `nodes`; otherwise
+/// prints the pair as skipped, so a sweep never drops it silently.
+inline bool splits_evenly(std::size_t n, int nodes) {
+  if (n % static_cast<std::size_t>(nodes) == 0) return true;
+  std::printf("skip   %zux%zu on %d nodes: %zu rows do not split over %d "
+              "nodes\n",
+              n, n, nodes, n, nodes);
+  return false;
 }
 
 /// One row of a hand-coded vs auto-generated comparison table.
@@ -128,60 +166,6 @@ inline void print_host_cost(const HostCost& cost) {
   std::printf("csv,host,%s,%.6f,%.6f,%d,%.2f\n", cost.label.c_str(),
               cost.cold_seconds, cost.warm_seconds, cost.warm_runs,
               cost.speedup());
-}
-
-/// Machine-readable results for one benchmark binary, written by
-/// `--json <file>` and consumed by scripts/check_bench_regression.py,
-/// which gates warm host-time regressions against the committed
-/// BENCH_baseline.json.
-struct JsonReport {
-  std::string bench;  // binary name, e.g. "table1_fft2d"
-  int runs = 0;
-  int iterations = 0;
-  std::vector<HostCost> hosts;
-  std::vector<ComparisonRow> rows;
-};
-
-/// The file following a `--json` flag, or nullptr when absent.
-inline const char* json_path(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json") return argv[i + 1];
-  }
-  return nullptr;
-}
-
-/// Writes the report as JSON. Returns false (with a note on stderr) when
-/// the file cannot be opened; benches treat that as a fatal error so CI
-/// never silently skips the gate.
-inline bool write_json(const JsonReport& report, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot open %s for writing\n", path);
-    return false;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"runs\": %d,\n"
-               "  \"iterations\": %d,\n  \"host\": [\n",
-               report.bench.c_str(), report.runs, report.iterations);
-  for (std::size_t i = 0; i < report.hosts.size(); ++i) {
-    const HostCost& h = report.hosts[i];
-    std::fprintf(f,
-                 "    {\"label\": \"%s\", \"cold_seconds\": %.6f, "
-                 "\"warm_seconds\": %.6f, \"warm_runs\": %d}%s\n",
-                 h.label.c_str(), h.cold_seconds, h.warm_seconds, h.warm_runs,
-                 i + 1 < report.hosts.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"comparison\": [\n");
-  for (std::size_t i = 0; i < report.rows.size(); ++i) {
-    const ComparisonRow& r = report.rows[i];
-    std::fprintf(f,
-                 "    {\"application\": \"%s\", \"size\": %zu, \"nodes\": %d, "
-                 "\"hand_seconds\": %.6f, \"sage_seconds\": %.6f}%s\n",
-                 r.application.c_str(), r.size, r.nodes, r.hand_seconds,
-                 r.sage_seconds, i + 1 < report.rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
 }
 
 }  // namespace sage::bench

@@ -33,6 +33,7 @@ int main() {
   const bench::BenchEnv env = bench::bench_env();
   const std::size_t size = env.sizes.back();
   const int nodes = env.nodes.back();
+  if (!bench::splits_evenly(size, nodes)) return 0;
 
   std::printf("Cross-vendor sweep -- 2D FFT %zux%zu on %d nodes\n\n", size,
               size, nodes);

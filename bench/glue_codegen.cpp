@@ -8,7 +8,8 @@
 //   vm-memo -- execute a chunk compiled once per process, which is what
 //              codegen::generate_glue does for the builtin generator.
 //
-// The regression gate pins the warm columns.
+// Print-only: perfbench's `codegen.generate_ms` and `alter.compile_ms`
+// time the same generator on its workloads.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -43,7 +44,7 @@ bench::HostCost time_calls(const std::string& label, int calls,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const bench::BenchEnv env = bench::bench_env();
   const int calls = env.runs + 1;  // first = cold column
   const std::string& program = codegen::glue_generator_source();
@@ -55,11 +56,6 @@ int main(int argc, char** argv) {
   std::vector<Config> configs;
   configs.push_back({"fft2d", apps::make_fft2d_workspace(256, 4)});
   configs.push_back({"cornerturn", apps::make_cornerturn_workspace(256, 2)});
-
-  bench::JsonReport report;
-  report.bench = "glue_codegen";
-  report.runs = env.runs;
-  report.iterations = env.iterations;
 
   std::printf("glue_codegen: %d generator evaluations per path "
               "(first = cold)\n", calls);
@@ -83,13 +79,6 @@ int main(int argc, char** argv) {
 
     bench::print_host_cost(vm);
     bench::print_host_cost(memo);
-    report.hosts.push_back(vm);
-    report.hosts.push_back(memo);
-  }
-
-  if (const char* path = bench::json_path(argc, argv)) {
-    if (!bench::write_json(report, path)) return 1;
-    std::printf("wrote %s\n", path);
   }
   return 0;
 }

@@ -24,7 +24,7 @@ double mean(const std::vector<double>& xs) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const bench::BenchEnv env = bench::bench_env();
   const std::size_t size = env.sizes.back();
 
@@ -33,12 +33,11 @@ int main(int argc, char** argv) {
   std::printf("%-6s %12s %9s %7s %12s %9s %7s %9s\n", "Nodes", "hand(ms)",
               "speedup", "eff", "sage(ms)", "speedup", "eff", "%ofHand");
 
-  std::vector<bench::ComparisonRow> rows;
   std::vector<bench::HostCost> hosts;
   double hand_base = 0.0;
   double sage_base = 0.0;
   for (int nodes : {1, 2, 4, 8}) {
-    if (size % static_cast<std::size_t>(nodes) != 0) continue;
+    if (!bench::splits_evenly(size, nodes)) continue;
 
     apps::HandcodedOptions hand_options;
     hand_options.iterations = env.iterations;
@@ -77,13 +76,6 @@ int main(int argc, char** argv) {
                 sage_speedup / nodes * 100.0,
                 sage > 0 ? hand / sage * 100.0 : 0.0);
     std::printf("csv,scaling,%zu,%d,%.6f,%.6f\n", size, nodes, hand, sage);
-    bench::ComparisonRow row;
-    row.application = "scaling";
-    row.size = size;
-    row.nodes = nodes;
-    row.hand_seconds = hand;
-    row.sage_seconds = sage;
-    rows.push_back(row);
   }
   std::printf("\n");
   for (const bench::HostCost& cost : hosts) bench::print_host_cost(cost);
@@ -92,9 +84,5 @@ int main(int argc, char** argv) {
               "per-message costs growing relative to per-node compute\n"
               "(hurts). The generated code's fixed overheads amortize less\n"
               "at scale, so the %%-of-hand column trends down with nodes.\n");
-  if (const char* path = bench::json_path(argc, argv)) {
-    bench::JsonReport report{"scaling", env.runs, env.iterations, hosts, rows};
-    if (!bench::write_json(report, path)) return 1;
-  }
   return 0;
 }

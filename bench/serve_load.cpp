@@ -19,9 +19,8 @@
 //   * at 2.0x an open-loop generator outruns the fleet: latency grows
 //     with queue depth until admission control sheds (kQueueFull).
 //
-// Host (wall-clock) cost of driving each app's four-point curve feeds
-// `--json` -> scripts/check_bench_regression.py against the committed
-// BENCH_baseline.json (warm_seconds is the gated figure).
+// The host (wall-clock) cost of driving each app's four-point curve is
+// print-only; perfbench's serve-open workload times the server.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -155,31 +154,21 @@ bool drive_curve(const std::string& app, int app_index,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   std::printf("Serve load curve -- open-loop Poisson arrivals, %d requests "
               "per point,\nvirtual-time latency/throughput "
               "(deterministic; host speed never changes the numbers)\n",
               kRequests);
 
-  bench::JsonReport json;
-  json.bench = "serve_load";
-  json.runs = static_cast<int>(std::size(kFractions));
-  json.iterations = 1;
-
+  std::vector<bench::HostCost> hosts;
   bool ok = true;
-  ok &= drive_curve("fft2d", 0, json.hosts);
-  ok &= drive_curve("cornerturn", 1, json.hosts);
+  ok &= drive_curve("fft2d", 0, hosts);
+  ok &= drive_curve("cornerturn", 1, hosts);
 
   std::printf("\n");
-  for (const bench::HostCost& cost : json.hosts) {
-    bench::print_host_cost(cost);
-  }
+  for (const bench::HostCost& cost : hosts) bench::print_host_cost(cost);
   std::printf("\nOpen loop: arrivals never wait for completions, so loads "
               "past saturation expose\nqueueing growth and admission sheds "
               "rather than silently throttling the generator.\n");
-
-  if (const char* path = bench::json_path(argc, argv)) {
-    if (!bench::write_json(json, path)) return 1;
-  }
   return ok ? 0 : 1;
 }

@@ -27,7 +27,7 @@ double mean(const std::vector<double>& xs) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   bench::BenchEnv env = bench::bench_env();
   if (std::getenv("SAGE_BENCH_NODES") == nullptr) {
     env.nodes = {2, 4, 8};  // the paper discusses the 2-node anomaly
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   std::vector<bench::HostCost> hosts;
   for (int nodes : env.nodes) {
     for (std::size_t size : env.sizes) {
-      if (size % static_cast<std::size_t>(nodes) != 0) continue;
+      if (!bench::splits_evenly(size, nodes)) continue;
 
       std::vector<double> hand_lat;
       for (int run = 0; run < env.runs; ++run) {
@@ -91,11 +91,5 @@ int main(int argc, char** argv) {
       "Comparison of hand-coded and auto-generated code (Corner Turn)", rows);
   std::printf("\nWarm-session host cost (first run cold, rest warm)\n");
   for (const bench::HostCost& cost : hosts) bench::print_host_cost(cost);
-
-  if (const char* path = bench::json_path(argc, argv)) {
-    bench::JsonReport report{"table1_cornerturn", env.runs, env.iterations,
-                             hosts, rows};
-    if (!bench::write_json(report, path)) return 1;
-  }
   return 0;
 }

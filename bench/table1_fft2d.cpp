@@ -27,7 +27,7 @@ double mean(const std::vector<double>& xs) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const bench::BenchEnv env = bench::bench_env();
   std::printf("Table 1.0 reproduction -- Parallel 2D FFT, CSPI-like platform\n");
   std::printf("(runs=%d iterations/run=%d; paper used 10 runs x 100 iterations)\n",
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   std::vector<bench::HostCost> hosts;
   for (int nodes : env.nodes) {
     for (std::size_t size : env.sizes) {
-      if (size % static_cast<std::size_t>(nodes) != 0) continue;
+      if (!bench::splits_evenly(size, nodes)) continue;
 
       // Hand-coded baseline: averaged latency over runs.
       std::vector<double> hand_lat;
@@ -89,11 +89,5 @@ int main(int argc, char** argv) {
                      rows);
   std::printf("\nWarm-session host cost (first run cold, rest warm)\n");
   for (const bench::HostCost& cost : hosts) bench::print_host_cost(cost);
-
-  if (const char* path = bench::json_path(argc, argv)) {
-    bench::JsonReport report{"table1_fft2d", env.runs, env.iterations, hosts,
-                             rows};
-    if (!bench::write_json(report, path)) return 1;
-  }
   return 0;
 }

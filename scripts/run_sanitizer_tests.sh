@@ -1,8 +1,7 @@
 #!/bin/sh
 # Builds openSAGE under one sanitizer flavor and runs the suites that
-# flavor is for. Replaces the three run_{asan,tsan,ubsan}_tests.sh
-# scripts (kept as thin wrappers); the per-flavor build flags, targets,
-# env vars, and ctest filters all live here.
+# flavor is for; the per-flavor build flags, targets, env vars, and
+# ctest filters all live here.
 #
 #   asan  -- AddressSanitizer + LeakSanitizer: the memory-heavy suites
 #            (buffer-pool reuse across warm runs, striping copies, the

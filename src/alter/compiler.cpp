@@ -11,30 +11,6 @@ namespace sage::alter {
 
 namespace {
 
-/// Splits a lambda parameter list into fixed parameters plus an
-/// optional &rest tail; throws sage::AlterError on malformed lists.
-void parse_params(const ValueList& param_list, std::vector<std::string>& params,
-                  std::string& rest_param) {
-  bool rest_next = false;
-  for (const Value& p : param_list) {
-    const std::string& name = p.as_symbol().name;
-    if (name == "&rest") {
-      SAGE_CHECK_AS(AlterError, !rest_next, "duplicate &rest");
-      rest_next = true;
-      continue;
-    }
-    if (rest_next) {
-      SAGE_CHECK_AS(AlterError, rest_param.empty(),
-                    "only one &rest parameter allowed");
-      rest_param = name;
-    } else {
-      params.push_back(name);
-    }
-  }
-  SAGE_CHECK_AS(AlterError, !rest_next || !rest_param.empty(),
-                "&rest without a parameter name");
-}
-
 class Compiler {
  public:
   explicit Compiler(const SourceMap* map) : map_(map) {}
@@ -49,6 +25,43 @@ class Compiler {
   }
 
  private:
+  /// Raises sage::AlterError from `parts` unless `ok`, naming the
+  /// script position the way the VM names it for runtime errors:
+  /// "(<chunk> line N)", N being the line of the form being compiled.
+  template <typename... Parts>
+  void check(bool ok, const Parts&... parts) const {
+    if (ok) return;
+    if (line_ > 0) {
+      raise<AlterError>(parts..., " (",
+                        chunk_->name.empty() ? "lambda" : chunk_->name.c_str(),
+                        " line ", line_, ")");
+    }
+    raise<AlterError>(parts...);
+  }
+
+  /// Splits a lambda parameter list into fixed parameters plus an
+  /// optional &rest tail; raises sage::AlterError on malformed lists.
+  void parse_params(const ValueList& param_list,
+                    std::vector<std::string>& params,
+                    std::string& rest_param) const {
+    bool rest_next = false;
+    for (const Value& p : param_list) {
+      const std::string& name = p.as_symbol().name;
+      if (name == "&rest") {
+        check(!rest_next, "duplicate &rest");
+        rest_next = true;
+        continue;
+      }
+      if (rest_next) {
+        check(rest_param.empty(), "only one &rest parameter allowed");
+        rest_param = name;
+      } else {
+        params.push_back(name);
+      }
+    }
+    check(!rest_next || !rest_param.empty(), "&rest without a parameter name");
+  }
+
   // --- scopes ---------------------------------------------------------------
 
   /// One lexical scope; becomes exactly one runtime frame.
@@ -246,7 +259,7 @@ class Compiler {
       const std::string& head = form[0].as_symbol().name;
 
       if (head == "quote") {
-        SAGE_CHECK_AS(AlterError, form.size() == 2, "(quote x) takes one arg");
+        check(form.size() == 2, "(quote x) takes one arg");
         emit(Op::kConst, intern(form[1]));
         return;
       }
@@ -267,7 +280,7 @@ class Compiler {
         return;
       }
       if (head == "lambda") {
-        SAGE_CHECK_AS(AlterError, form.size() >= 3, "(lambda (args) body...)");
+        check(form.size() >= 3, "(lambda (args) body...)");
         compile_lambda("", form[1].as_list(), form, 2);
         return;
       }
@@ -324,8 +337,7 @@ class Compiler {
   // --- special forms --------------------------------------------------------
 
   void compile_if(const ValueList& form) {
-    SAGE_CHECK_AS(AlterError, form.size() == 3 || form.size() == 4,
-                  "(if c then else?)");
+    check(form.size() == 3 || form.size() == 4, "(if c then else?)");
     compile_expr(form[1]);
     const std::size_t to_else = emit(Op::kJumpIfFalse);
     compile_expr(form[2]);
@@ -344,11 +356,10 @@ class Compiler {
     bool saw_else = false;
     for (std::size_t i = 1; i < form.size(); ++i) {
       const ValueList& clause = form[i].as_list();
-      SAGE_CHECK_AS(AlterError, !clause.empty(), "empty cond clause");
+      check(!clause.empty(), "empty cond clause");
       saw_else = clause[0].is_symbol() && clause[0].as_symbol().name == "else";
       if (saw_else) {
-        SAGE_CHECK_AS(AlterError, clause.size() > 1,
-                      "cond: (else) clause has no body");
+        check(clause.size() > 1, "cond: (else) clause has no body");
         compile_body(clause, 1);
         break;
       }
@@ -370,11 +381,11 @@ class Compiler {
   }
 
   void compile_define(const ValueList& form) {
-    SAGE_CHECK_AS(AlterError, form.size() >= 3, "(define name expr)");
+    check(form.size() >= 3, "(define name expr)");
     if (form[1].is_list()) {
       // (define (f a b) body...) sugar.
       const ValueList& sig = form[1].as_list();
-      SAGE_CHECK_AS(AlterError, !sig.empty(), "define: empty signature");
+      check(!sig.empty(), "define: empty signature");
       const std::string name = sig[0].as_symbol().name;
       if (scopes_.empty()) {
         compile_lambda(name, ValueList(sig.begin() + 1, sig.end()), form, 2);
@@ -387,7 +398,7 @@ class Compiler {
       emit(Op::kNil);
       return;
     }
-    SAGE_CHECK_AS(AlterError, form.size() == 3, "(define name expr)");
+    check(form.size() == 3, "(define name expr)");
     const std::string& name = form[1].as_symbol().name;
     if (scopes_.empty()) {
       compile_expr(form[2]);
@@ -401,7 +412,7 @@ class Compiler {
   }
 
   void compile_set(const ValueList& form) {
-    SAGE_CHECK_AS(AlterError, form.size() == 3, "(set! name expr)");
+    check(form.size() == 3, "(set! name expr)");
     const std::string& name = form[1].as_symbol().name;
     compile_expr(form[2]);
     if (const auto local = resolve(name)) {
@@ -440,13 +451,13 @@ class Compiler {
   }
 
   void compile_let(const ValueList& form) {
-    SAGE_CHECK_AS(AlterError, form.size() >= 3, "(let ((a 1)...) body...)");
+    check(form.size() >= 3, "(let ((a 1)...) body...)");
     // Plain let: initialisers evaluate in the enclosing scope, pushed
     // left to right before the frame exists.
     std::vector<std::string> names;
     for (const Value& binding : form[1].as_list()) {
       const ValueList& pair = binding.as_list();
-      SAGE_CHECK_AS(AlterError, pair.size() == 2, "let binding (name expr)");
+      check(pair.size() == 2, "let binding (name expr)");
       names.push_back(pair[0].as_symbol().name);
       compile_expr(pair[1]);
     }
@@ -473,14 +484,14 @@ class Compiler {
   }
 
   void compile_let_star(const ValueList& form) {
-    SAGE_CHECK_AS(AlterError, form.size() >= 3, "(let ((a 1)...) body...)");
+    check(form.size() >= 3, "(let ((a 1)...) body...)");
     // let*: the frame exists up front; each initialiser sees the
     // bindings declared before it.
     push_scope();
     const std::size_t frame_at = emit(Op::kPushFrame);
     for (const Value& binding : form[1].as_list()) {
       const ValueList& pair = binding.as_list();
-      SAGE_CHECK_AS(AlterError, pair.size() == 2, "let binding (name expr)");
+      check(pair.size() == 2, "let binding (name expr)");
       compile_expr(pair[1]);
       emit(Op::kSetLocal, 0, declare_local(pair[0].as_symbol().name));
     }
@@ -491,7 +502,7 @@ class Compiler {
   }
 
   void compile_while(const ValueList& form) {
-    SAGE_CHECK_AS(AlterError, form.size() >= 2, "(while cond body...)");
+    check(form.size() >= 2, "(while cond body...)");
     emit(Op::kNil);  // result of zero iterations
     const std::size_t loop = here();
     compile_expr(form[1]);
@@ -535,7 +546,7 @@ class Compiler {
   }
 
   void compile_when(const ValueList& form) {
-    SAGE_CHECK_AS(AlterError, form.size() >= 2, "(when cond body...)");
+    check(form.size() >= 2, "(when cond body...)");
     compile_expr(form[1]);
     const std::size_t to_nil = emit(Op::kJumpIfFalse);
     compile_body(form, 2);
@@ -546,7 +557,7 @@ class Compiler {
   }
 
   void compile_unless(const ValueList& form) {
-    SAGE_CHECK_AS(AlterError, form.size() >= 2, "(unless cond body...)");
+    check(form.size() >= 2, "(unless cond body...)");
     compile_expr(form[1]);
     const std::size_t to_body = emit(Op::kJumpIfFalse);
     emit(Op::kNil);
@@ -557,9 +568,9 @@ class Compiler {
   }
 
   void compile_dolist(const ValueList& form) {
-    SAGE_CHECK_AS(AlterError, form.size() >= 2, "(dolist (x list) body...)");
+    check(form.size() >= 2, "(dolist (x list) body...)");
     const ValueList& spec = form[1].as_list();
-    SAGE_CHECK_AS(AlterError, spec.size() == 2, "(dolist (x list) body...)");
+    check(spec.size() == 2, "(dolist (x list) body...)");
     const std::string& var = spec[0].as_symbol().name;
     compile_expr(spec[1]);  // the list, in the enclosing scope
 
@@ -585,9 +596,9 @@ class Compiler {
   }
 
   void compile_dotimes(const ValueList& form) {
-    SAGE_CHECK_AS(AlterError, form.size() >= 2, "(dotimes (i n) body...)");
+    check(form.size() >= 2, "(dotimes (i n) body...)");
     const ValueList& spec = form[1].as_list();
-    SAGE_CHECK_AS(AlterError, spec.size() == 2, "(dotimes (i n) body...)");
+    check(spec.size() == 2, "(dotimes (i n) body...)");
     const std::string& var = spec[0].as_symbol().name;
     compile_expr(spec[1]);  // the count, in the enclosing scope
 

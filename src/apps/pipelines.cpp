@@ -7,6 +7,7 @@
 #include "model/hardware.hpp"
 #include "model/mapping.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace sage::apps {
 
@@ -218,6 +219,41 @@ std::unique_ptr<model::Workspace> make_tuning_workspace(std::size_t n,
   ModelObject& mapping = model::add_mapping(root, "mapping", "hetero");
   for (const std::string& fn : chain) {
     model::assign_ranks(root, mapping, fn, slow_ranks);
+  }
+  return ws;
+}
+
+std::unique_ptr<model::Workspace> make_synthetic_hetero_workspace() {
+  auto ws = std::make_unique<model::Workspace>("synthetic");
+  ModelObject& root = ws->root();
+  ModelObject& hw = model::add_hardware(root, "hetero");
+  ModelObject& board = model::add_board(hw, "carrier");
+  for (int p = 0; p < 2; ++p) {
+    model::add_processor(board, "fast_" + std::to_string(p), 400.0,
+                         std::int64_t{64} << 20, 0.5);
+  }
+  ModelObject& board2 = model::add_board(hw, "carrier2");
+  for (int p = 0; p < 6; ++p) {
+    model::add_processor(board2, "slow_" + std::to_string(p), 100.0,
+                         std::int64_t{64} << 20, 2.0);
+  }
+
+  ModelObject& app = model::add_application(root, "synthetic_chain");
+  const std::vector<std::size_t> dims{256, 256};
+  support::Rng rng(7);
+  ModelObject* prev = nullptr;
+  for (int i = 0; i < 10; ++i) {
+    const double work = 1e6 * (1.0 + static_cast<double>(rng.below(20)));
+    ModelObject& fn = model::add_function(app, "stage_" + std::to_string(i),
+                                          "identity", 2, work);
+    model::add_port(fn, "in", PortDirection::kIn, Striping::kStriped,
+                    "cfloat", dims, 0);
+    model::add_port(fn, "out", PortDirection::kOut, Striping::kStriped,
+                    "cfloat", dims, 0);
+    if (prev != nullptr) {
+      model::connect(app, prev->name() + ".out", fn.name() + ".in");
+    }
+    prev = &fn;
   }
   return ws;
 }

@@ -39,4 +39,11 @@ std::unique_ptr<model::Workspace> make_tuning_workspace(
     std::size_t n = 128, int stages = 4, int fast_procs = 2,
     int slow_procs = 2);
 
+/// A deliberately lumpy mapping problem: a 10-stage chain of
+/// two-threaded functions with mixed work sizes (seeded) over 256 x 256
+/// complex data, on a heterogeneous machine of two fast processors and
+/// six slow ones. No mapping: bench/atot_mapping and the AToT tests feed
+/// it to atot::build_problem and compare the mappers on it.
+std::unique_ptr<model::Workspace> make_synthetic_hetero_workspace();
+
 }  // namespace sage::apps

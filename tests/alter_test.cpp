@@ -324,6 +324,28 @@ TEST(VmTest, RuntimeErrorInsideNamedFunctionNamesIt) {
   }
 }
 
+TEST(VmTest, CompileErrorNamesScriptLine) {
+  // A malformed form is reported before anything runs, at the script
+  // position of the form, in the VM's "(<chunk> line N)" style.
+  const std::pair<const char*, const char*> cases[] = {
+      {"(print 1)\n(print (cond (else)))\n",
+       "cond: (else) clause has no body (script line 2)"},
+      {"(define (f)\n  (let ((x)) x))\n", "let binding (name expr) (f line 2)"},
+      {"(define (g a &rest) a)\n",
+       "&rest without a parameter name (script line 1)"},
+  };
+  for (const auto& [src, message] : cases) {
+    Interpreter interp;
+    try {
+      interp.eval_string(src);
+      ADD_FAILURE() << "expected a compile error: " << src;
+    } catch (const AlterError& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+    EXPECT_EQ(interp.print_log(), "");
+  }
+}
+
 TEST(VmTest, DisassemblerListsChunkStructure) {
   const ChunkPtr chunk = compile_string(
       "(define (square x) (* x x))\n"

@@ -3,7 +3,10 @@
 // assignments back into the mapping model.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "apps/benchmarks.hpp"
+#include "apps/pipelines.hpp"
 #include "atot/cost_model.hpp"
 #include "atot/mapper.hpp"
 #include "atot/scheduler.hpp"
@@ -11,6 +14,7 @@
 #include "model/hardware.hpp"
 #include "model/mapping.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace sage::atot {
 namespace {
@@ -251,6 +255,67 @@ TEST(MapperTest, LatencyConstraintSteersTheSearch) {
       list_schedule(problem, tight.best).latency;
 
   EXPECT_LE(tight_latency, loose_latency);
+}
+
+// What bench/atot_mapping prints, pinned exactly (recorded with %.17g):
+// each mapper's cost-model objective and list-scheduler latency, and the
+// genetic mapper's result. The mappers are deterministic, so a change to
+// any mapper, the GA's defaults, the cost model or the scheduler moves a
+// value here.
+struct QualityPin {
+  const char* mapper;
+  double objective;
+  double latency;
+};
+
+void expect_pinned(const MappingProblem& problem,
+                   const std::array<QualityPin, 4>& pins, int ga_generations,
+                   const Assignment& ga_best) {
+  const GeneticResult ga = genetic_mapping(problem);
+  const Assignment assignments[] = {
+      random_mapping(problem, support::Rng::kDefaultSeed),
+      round_robin_mapping(problem), greedy_mapping(problem), ga.best};
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    SCOPED_TRACE(pins[i].mapper);
+    EXPECT_EQ(evaluate(problem, assignments[i]).objective, pins[i].objective);
+    EXPECT_EQ(list_schedule(problem, assignments[i]).latency, pins[i].latency);
+  }
+  EXPECT_EQ(ga.generations_run, ga_generations);
+  EXPECT_EQ(ga.best, ga_best);
+}
+
+TEST(MapperTest, QualityPinnedOnBenchProblems) {
+  {
+    SCOPED_TRACE("fft2d-1024-8n");
+    expect_pinned(build_problem(*apps::make_fft2d_workspace(1024, 8)),
+                  {{{"random", 0.22560197218749994, 0.18509335124999995},
+                    {"round-robin", 0.058440561250000037, 0.058440561250000071},
+                    {"greedy", 0.058440561250000037, 0.058440561250000071},
+                    {"genetic", 0.058440561250000037, 0.058440561250000071}}},
+                  30, {0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7,
+                       0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7,
+                       0, 1, 2, 3, 4, 5, 6, 7});
+  }
+  {
+    SCOPED_TRACE("cornerturn-512-4n");
+    expect_pinned(
+        build_problem(*apps::make_cornerturn_workspace(512, 4)),
+        {{{"random", 0.022886202500000005, 0.022067002500000005},
+          {"round-robin", 0.0098466825000000056, 0.0098466825000000039},
+          {"greedy", 0.0098466825000000056, 0.0098466825000000039},
+          {"genetic", 0.0071652062500000028, 0.0066736837500000028}}},
+        44, {3, 2, 2, 3, 2, 2, 3, 3, 2, 2, 3, 3});
+  }
+  {
+    SCOPED_TRACE("synthetic-hetero");
+    expect_pinned(build_problem(*apps::make_synthetic_hetero_workspace()),
+                  {{{"random", 0.31147587500000007, 0.50015999999999994},
+                    {"round-robin", 0.18786, 0.42082499999999995},
+                    {"greedy", 0.10348125000000001, 0.32824499999999995},
+                    {"genetic", 0.10348125000000001, 0.32824499999999995}}},
+                  30, {4, 5, 6, 7, 2, 3, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 6, 7,
+                       0, 1});
+  }
 }
 
 TEST(ApplyTest, AssignmentWritesBackAndValidates) {
